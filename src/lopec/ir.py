@@ -14,13 +14,16 @@ index; the distributed runtime and the emitted C use exactly this formula.
 ``run_body`` interprets a kernel body against a caller-supplied read
 callback.  Operands flow through numpy, so the same code evaluates whole
 slabs (vectorized launches, the dense oracle) and single float64 points
-(scrambled-order launches) with bit-identical arithmetic per element.
+(scrambled-order launches) with bit-identical arithmetic per element.  A
+caller that evaluates the same slab shape repeatedly passes a
+``Workspace``, and the slab temporaries are then reused instead of
+allocated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -201,33 +204,36 @@ class StorageLayout:
             raise ValueError("interior extents must be positive")
         if any(w < 0 for w in self.lo + self.hi):
             raise ValueError("halo widths must be non-negative")
+        # the layout is immutable, so its derived shapes are computed once
+        padded = tuple(m + a + b
+                       for m, a, b in zip(self.interior, self.lo, self.hi))
+        strides, acc = [], 1
+        for e in padded:
+            strides.append(acc)
+            acc *= e
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "_strides", tuple(strides))
 
     @property
     def rank(self) -> int:
         return len(self.interior)
 
     def padded(self) -> tuple[int, ...]:
-        return tuple(m + a + b
-                     for m, a, b in zip(self.interior, self.lo, self.hi))
+        return self._padded
 
     def count(self) -> int:
-        return math.prod(self.padded())
+        return math.prod(self._padded)
 
     def strides(self) -> tuple[int, ...]:
-        s = []
-        acc = 1
-        for e in self.padded():
-            s.append(acc)
-            acc *= e
-        return tuple(s)
+        return self._strides
 
     def linear(self, coords: tuple[int, ...]) -> int:
         """Flat index of 0-based padded-space coordinates."""
-        for c, e in zip(coords, self.padded()):
+        for c, e in zip(coords, self._padded):
             if not 0 <= c < e:
                 raise ValueError(f"coordinate {coords} outside padded "
-                                 f"extents {self.padded()}")
-        return sum(c * s for c, s in zip(coords, self.strides()))
+                                 f"extents {self._padded}")
+        return sum(c * s for c, s in zip(coords, self._strides))
 
 
 def map_local_to_global(offsets: tuple[int, ...], center: tuple[int, ...],
@@ -240,69 +246,161 @@ def map_local_to_global(offsets: tuple[int, ...], center: tuple[int, ...],
     ndarray of flat indices); either way an out-of-box coordinate raises
     ``ValueError``.
     """
-    coords = tuple(c - 1 + lo + o
-                   for c, lo, o in zip(center, layout.lo, offsets))
-    if any(isinstance(c, np.ndarray) for c in coords):
-        for c, e in zip(coords, layout.padded()):
-            if np.any(c < 0) or np.any(c >= e):
-                raise ValueError(f"coordinates outside padded extents "
-                                 f"{layout.padded()}")
-        return sum(c * s for c, s in zip(coords, layout.strides()))
-    return layout.linear(coords)
+    coords = [c + (lo - 1) + o
+              for c, lo, o in zip(center, layout.lo, offsets)]
+    if not any(isinstance(c, np.ndarray) for c in coords):
+        return layout.linear(tuple(coords))
+    padded = layout._padded
+    for c, e in zip(coords, padded):
+        lo_c, hi_c = ((c.min(), c.max()) if isinstance(c, np.ndarray)
+                      else (c, c))
+        if lo_c < 0 or hi_c >= e:
+            raise ValueError(f"coordinates outside padded extents {padded}")
+    # the stride of dim 1 is 1
+    index = coords[0]
+    for c, s in zip(coords[1:], layout._strides[1:]):
+        index = index + c * s
+    return index
 
 
 # ---------------------------------------------------------------------------
 # Interpretation
 
 
+class Workspace:
+    """Reusable slab buffers for ``run_body`` on one slab shape.
+
+    A call that is given a workspace writes every array-valued arithmetic
+    result into one of ``buffers`` through ``out=``.  A temporary goes back
+    to the free list as soon as the node that consumes it has run, so the
+    pool holds as many buffers as the body has live temporaries plus pinned
+    locals and stores, however many terms it has.  ``buffers`` grows only
+    on the first calls; every later call reuses them.  Arrays returned by a
+    call stay valid until the next call on the same workspace.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.buffers: list[np.ndarray] = []
+        self._free: list[np.ndarray] = []
+        self._temps: set[int] = set()       # ids of unpinned temporaries
+
+    def reset(self) -> None:
+        """Start a call: every buffer is free again."""
+        self._free = self.buffers[::-1]
+        self._temps.clear()
+
+    def _take(self) -> np.ndarray:
+        if self._free:
+            buf = self._free.pop()
+        else:
+            # column-major like the blocks, so slab operands stream in order
+            buf = np.empty(self.shape, dtype=np.float64, order="F")
+            self.buffers.append(buf)
+        self._temps.add(id(buf))
+        return buf
+
+    def pin(self, value) -> None:
+        """Keep ``value`` (a local or a store) from reuse until ``reset``."""
+        self._temps.discard(id(value))
+
+    def binary(self, ufunc, a, b):
+        """``ufunc(a, b)``; an array result goes into a consumed operand
+        temporary or a free buffer."""
+        temps = self._temps
+        if id(a) in temps:
+            if id(b) in temps:
+                temps.discard(id(b))
+                self._free.append(b)
+            return ufunc(a, b, out=a)
+        if id(b) in temps:
+            return ufunc(a, b, out=b)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return ufunc(a, b, out=self._take())
+        return ufunc(a, b)
+
+    def unary(self, ufunc, a):
+        """``ufunc(a)``, placed like ``binary``."""
+        if id(a) in self._temps:
+            return ufunc(a, out=a)
+        if isinstance(a, np.ndarray):
+            return ufunc(a, out=self._take())
+        return ufunc(a)
+
+
+_BINARY = {Add: (operator.add, np.add), Mul: (operator.mul, np.multiply),
+           Div: (operator.truediv, np.true_divide)}
+_UNARY = {"abs": np.abs, "sqrt": np.sqrt}
+_FOLD = {"min": np.minimum, "max": np.maximum}
+
+
 def run_body(ir: KernelIR, read: Callable[[str, tuple[int, ...]], object],
-             scalars: dict[str, object] | None = None) -> dict[str, object]:
+             scalars: dict[str, object] | None = None,
+             workspace: Workspace | None = None) -> dict[str, object]:
     """Evaluate the kernel body; returns pending centre values per array.
 
     ``read(array, offsets)`` supplies operands — float64 scalars for a
-    single point or ndarray slabs for a whole range.  A centre read that
+    single point or ndarray slabs for a whole range.  Every read of a
+    statement is evaluated before the caller writes any pending value back,
+    so ``read`` may return views of the live buffers.  A centre read that
     follows a centre store observes the pending value, matching the
     double-buffered launch semantics.
+
+    Without ``workspace`` every operation allocates its result, so the
+    returned arrays share no memory with those of any other call.  With a
+    ``workspace`` (slab-shaped, numpy operands) the results live in its
+    buffers and are valid until the next call on that workspace; the
+    arithmetic is the same ufunc sequence either way, so values are
+    bit-identical.
     """
     env: dict[str, object] = dict(scalars or {})
     pending: dict[str, object] = {}
-
-    def ev(e: IRExpr):
-        if isinstance(e, Const):
-            return np.float64(e.value)
-        if isinstance(e, ScalarRead):
-            if e.name not in env:
-                raise KeyError(f"kernel local '{e.name}' read before "
-                               f"assignment")
-            return env[e.name]
-        if isinstance(e, Read):
-            if e.array in pending and all(o == 0 for o in e.offsets):
-                return pending[e.array]
-            return read(e.array, e.offsets)
-        if isinstance(e, Add):
-            return ev(e.left) + ev(e.right)
-        if isinstance(e, Mul):
-            return ev(e.left) * ev(e.right)
-        if isinstance(e, Div):
-            return ev(e.left) / ev(e.right)
-        if isinstance(e, Neg):
-            return -ev(e.operand)
-        if isinstance(e, IntrinsicCall):
-            args = [ev(a) for a in e.args]
-            if e.fn == "abs":
-                return np.abs(args[0])
-            if e.fn == "sqrt":
-                return np.sqrt(args[0])
-            if e.fn == "min":
-                return functools.reduce(np.minimum, args)
-            if e.fn == "max":
-                return functools.reduce(np.maximum, args)
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
-
+    if workspace is not None:
+        workspace.reset()
     for st in ir.body:
-        value = ev(st.expr)
+        value = _ev(st.expr, env, pending, read, workspace)
+        if workspace is not None:
+            workspace.pin(value)
         if st.is_array:
             pending[st.target] = value
         else:
             env[st.target] = value
     return pending
+
+
+def _ev(e: IRExpr, env: dict, pending: dict, read, ws: Workspace | None):
+    # A module-level recursion: a nested closure that calls itself forms a
+    # reference cycle that keeps ``read`` and every slab alive until the
+    # cyclic collector runs.
+    t = type(e)
+    if t is Read:
+        if e.array in pending and not any(e.offsets):
+            return pending[e.array]
+        return read(e.array, e.offsets)
+    ops = _BINARY.get(t)
+    if ops is not None:
+        a = _ev(e.left, env, pending, read, ws)
+        b = _ev(e.right, env, pending, read, ws)
+        return ops[0](a, b) if ws is None else ws.binary(ops[1], a, b)
+    if t is Const:
+        return np.float64(e.value)
+    if t is ScalarRead:
+        if e.name not in env:
+            raise KeyError(f"kernel local '{e.name}' read before "
+                           f"assignment")
+        return env[e.name]
+    if t is Neg:
+        a = _ev(e.operand, env, pending, read, ws)
+        return -a if ws is None else ws.unary(np.negative, a)
+    if t is IntrinsicCall:
+        args = [_ev(a, env, pending, read, ws) for a in e.args]
+        if e.fn in _UNARY:
+            fn = _UNARY[e.fn]
+            return fn(args[0]) if ws is None else ws.unary(fn, args[0])
+        fold = _FOLD.get(e.fn)
+        if fold is not None:
+            acc = args[0]
+            for x in args[1:]:
+                acc = fold(acc, x) if ws is None else ws.binary(fold, acc, x)
+            return acc
+    raise TypeError(f"cannot evaluate {type(e).__name__}")

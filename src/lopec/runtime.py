@@ -11,12 +11,19 @@ and falls back to ``this_image()`` otherwise; mirror allocation, mirror
 copies, and the per-dimension pull/push traffic of a device-resident halo
 exchange are all modelled and instrumented (event log + per-image counters).
 
-Launches are double-buffered: reads come from a snapshot taken at launch,
-stores go to the live buffer, and a centre read after a centre store sees
-the pending value.  The default path evaluates whole ranges vectorized; a
-point-at-a-time path (forward, reverse, or seeded-shuffle order) exists to
-demonstrate order independence, and both produce bit-identical results
-because they run the same float64 operation tree per element.
+Launches are double-buffered: every read sees the pre-launch values, and a
+centre read after a centre store sees the pending value.  The default
+vector order evaluates whole ranges at once, reading slabs straight from
+the live buffers; no store reaches them until the whole body has been
+evaluated, so no snapshot is needed.  A pending value that is still a view
+of a launched buffer (a bare read such as ``V(0,0) = V(0,1)``) is copied
+before the first write-back, so aliased arguments cannot disturb it.  The
+arithmetic runs in a ``Workspace`` owned by the ``Machine``, one per
+(kernel, slab shape), whose buffers are reused by every later launch.  The
+point-at-a-time orders (forward, reverse, seeded shuffle) exist to
+demonstrate order independence; they write back point by point, so they
+read from a snapshot taken at launch.  All orders produce bit-identical
+results because they run the same float64 operation tree per element.
 
 Halo exchange is collective: the scheduler advances images round-robin to
 their next ``halo_transfer`` and performs the exchange once all arrive.
@@ -45,7 +52,7 @@ from . import plan as hostplan
 from .checks import CheckResult
 from .diagnostics import ALLOC_SHAPE, GRID_FACTOR, UNALLOCATED, RuntimeFault, SourcePos
 from .grid import ProcessGrid, create_grid
-from .ir import KernelIR, StorageLayout, lower_kernel, run_body
+from .ir import KernelIR, StorageLayout, Workspace, lower_kernel, run_body
 from .symbols import ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
@@ -129,6 +136,8 @@ class Machine:
                                 "halo_transfers": 0, "d2h": 0, "h2d": 0}
         self.arrays: dict[str, DistributedArray] = {}
         self.events: list[tuple] = []
+        # vector-launch scratch, one per (kernel name, slab shape)
+        self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
 
     # -- setup ------------------------------------------------------------
 
@@ -457,6 +466,14 @@ class Machine:
                         f"allocate bounds {lo_v}:{hi_v} for dim {d + 1} of "
                         f"'{a.entity}' imply halo widths ({w_lo},{w_hi}) "
                         f"outside 0..8", a.pos)
+            if ent.corank > 0 and max(w_lo, w_hi) > m_d:
+                # an exchange copies each halo from the neighbour's
+                # interior, which must be at least as wide as the halo
+                raise RuntimeFault(
+                    GRID_FACTOR,
+                    f"halo width {max(w_lo, w_hi)} of '{a.entity}' in dim "
+                    f"{d + 1} exceeds the per-image block extent {m_d}; "
+                    f"use fewer images along that dimension", a.pos)
             los.append(w_lo)
             his.append(w_hi)
             ms.append(m_d)
@@ -593,24 +610,34 @@ class Machine:
         self.events.append(("launch", k, a.kernel, on_device))
         if any(lo > hi for lo, hi in ranges):
             return
-        snapshots = {p: buf.copy() for p, buf in buffers.items()}
         layouts = {p: arrays[p].layout for p in buffers}
         if self.config.order == "vector":
-            self._launch_vector(kir, ranges, buffers, snapshots, layouts,
-                                scalars)
+            self._launch_vector(kir, ranges, buffers, layouts, scalars)
         else:
+            snapshots = {p: buf.copy() for p, buf in buffers.items()}
             self._launch_pointwise(kir, ranges, buffers, snapshots, layouts,
                                    scalars)
 
-    def _launch_vector(self, kir, ranges, buffers, snapshots, layouts,
-                       scalars) -> None:
+    def _launch_vector(self, kir, ranges, buffers, layouts, scalars) -> None:
+        # No snapshot: run_body evaluates every read before any pending
+        # value is written back, so the slabs come from the live buffers.
         def read(name: str, offsets: tuple[int, ...]):
             lay = layouts[name]
             idx = tuple(slice(lo - 1 + hl + o, hi + hl + o)
                         for (lo, hi), hl, o in zip(ranges, lay.lo, offsets))
-            return snapshots[name][idx]
+            return buffers[name][idx]
 
-        pending = run_body(kir, read, scalars)
+        shape = tuple(hi - lo + 1 for lo, hi in ranges)
+        workspace = self.workspaces.get((kir.name, shape))
+        if workspace is None:
+            workspace = self.workspaces[kir.name, shape] = Workspace(shape)
+        pending = run_body(kir, read, scalars, workspace)
+        # A store of a bare read (``V(0,0) = V(0,1)``) leaves a view of a
+        # live buffer pending; an earlier write-back could change it.
+        for name, value in pending.items():
+            if any(np.may_share_memory(value, buf)
+                   for buf in buffers.values()):
+                pending[name] = value.copy()
         for name, value in pending.items():
             lay = layouts[name]
             out_idx = tuple(slice(lo - 1 + hl, hi + hl)

@@ -136,6 +136,26 @@ def test_run_grid_fault_exit_3(tmp_path, capsys):
     assert "error[E201]" in out.err
 
 
+def test_run_halo_wider_than_block_exit_3(tmp_path, capsys):
+    upwind = str(CORPUS / "upwind.lope")
+    rng = np.random.default_rng(6)
+    src = tmp_path / "in.txt"
+    write_array_file(str(src), rng.uniform(-1, 1, (32, 32)))
+    outputs = {}
+    for images in (1, 16, 32):
+        dst = tmp_path / f"out{images}.txt"
+        outputs[images] = main(["run", upwind, "--images", str(images),
+                                "--steps", "3", "--input", str(src),
+                                "-o", str(dst)])
+    err = capsys.readouterr().err
+    # 32 images leave blocks one cell wide under a two-cell halo
+    assert outputs == {1: 0, 16: 0, 32: 3}
+    assert "error[E201]" in err and "halo width 2" in err
+    assert not (tmp_path / "out32.txt").exists()
+    assert ((tmp_path / "out1.txt").read_bytes()
+            == (tmp_path / "out16.txt").read_bytes())
+
+
 def test_run_shuffle_seed_output_identical(tmp_path):
     rng = np.random.default_rng(5)
     field = rng.uniform(-1, 1, (6, 6))

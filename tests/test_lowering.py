@@ -4,14 +4,16 @@ The oracle here is a small, direct AST-walking evaluator (independent of
 the IR and of run_body) applied pointwise to padded numpy fields.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import compile_source
 from lopec import ast
-from lopec.ir import lower_kernel, run_body
+from lopec.ir import Workspace, lower_kernel, run_body
 
 TEMPLATE = """\
 pure concurrent subroutine k(U{scalars})
@@ -187,3 +189,57 @@ def test_random_kernels_match_ast_oracle():
     for trial in range(120):
         body = "  U(0,0) = " + _random_expr(rng, 3)
         compare(body)
+
+
+def slab_reader(field):
+    def read(name, offsets):
+        return field[2 + offsets[0]:10 + offsets[0],
+                     2 + offsets[1]:10 + offsets[1]]
+    return read
+
+
+def test_workspace_evaluation_is_bit_identical():
+    """Slab evaluation into a reused workspace equals fresh allocation,
+    including locals, pending centre reads, scalars and intrinsics."""
+    rng = random.Random(5150)
+    field = np.asfortranarray(
+        np.random.default_rng(3).uniform(-2.0, 2.0, size=(12, 12)))
+    cases = [("  t = U(-1,0) - U(-2,0)\n  U(0,0) = U(0,0) + c*t*t",
+              "  real :: c\n  real :: t\n", ", c", ", 0.5"),
+             ("  U(0,0) = U(0,0)*2\n  U(0,0) = -U(0,0) + U(0,0)/3", "", "",
+              ""),
+             ("  U(0,0) = max(abs(U(-1,0)), U(1,1), min(U(0,0), "
+              "sqrt(U(1,0))), 0.5)", "", "", "")]
+    cases += [("  U(0,0) = " + _random_expr(rng, 4), "", "", "")
+              for _ in range(60)]
+    workspace = Workspace((8, 8))
+    read = slab_reader(field)
+    sc = {"c": np.float64(0.5)}
+    with np.errstate(all="ignore"):
+        for body, decls, scalars, args in cases:
+            ir = lower(body, decls, scalars, args)
+            fresh = run_body(ir, read, sc)["u"]
+            for _ in range(2):
+                reused = run_body(ir, read, sc, workspace)["u"]
+                assert np.array_equal(fresh, reused, equal_nan=True), body
+    # the pool is bounded by the deepest expression (at most one live
+    # temporary per level of a depth-4 tree), not by the case count
+    assert len(workspace.buffers) <= 5
+
+
+def test_run_body_releases_its_reader_without_the_cycle_collector():
+    ir = lower("  t = U(-1,0) - U(-2,0)\n  U(0,0) = max(U(0,0), 0.25*t)",
+               decls="  real :: t\n")
+    field = np.random.default_rng(4).uniform(-1.0, 1.0, size=(12, 12))
+    read = slab_reader(field)
+    alive = weakref.ref(read)
+    gc.collect()
+    gc.disable()
+    try:
+        pending = run_body(ir, read, {})
+        del read
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert pending["u"].shape == (8, 8)

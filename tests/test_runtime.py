@@ -13,7 +13,7 @@ import pytest
 
 from conftest import CORPUS, compile_file, compile_source
 from lopec.diagnostics import RuntimeFault
-from lopec.ir import lower_kernel
+from lopec.ir import Workspace, lower_kernel, run_body
 from lopec.runtime import Machine, RunConfig, oracle_step
 
 
@@ -208,6 +208,54 @@ end program main
     field = np.full((4, 4), 1.5)
     got = run_machine(result, field.copy(), images=1).gather()
     assert np.array_equal(got, field * 2 + 1)
+
+
+ALIASED_ARGS = """\
+pure concurrent subroutine k2(U, V)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: V
+  U(0,0) = 2*V(0,0)
+  V(0,0) = V(0,1)
+end subroutine k2
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  if (device /= this_image()) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call k2( U(i,j)[device], U(i,j)[device] )
+    end do
+  end do
+  if (device /= this_image()) then
+    U = U[device]
+  end if
+end program main
+"""
+
+
+def test_aliased_arguments_write_back_the_pre_launch_values():
+    """Both parameters name the same buffer.  The pending V is a bare
+    neighbour read; writing U back first must not change it, so every
+    order ends with V's shifted copy of the pre-launch field."""
+    result = compile_source(ALIASED_ARGS)
+    rng = np.random.default_rng(17)
+    field = rng.uniform(-1, 1, (32, 32))
+    runs = [("vector", None, 0), ("forward", None, 0), ("shuffle", 3, 0),
+            ("vector", None, 1)]
+    outs = [run_machine(result, field.copy(), images=4, grid_rows=2,
+                        steps=2, order=order, shuffle_seed=seed,
+                        devices=devices).gather()
+            for order, seed, devices in runs]
+    for got, run in zip(outs[1:], runs[1:]):
+        assert np.array_equal(outs[0], got), run
+    assert np.array_equal(outs[0], np.roll(field, -2, axis=1))
 
 
 # -- execution order independence -----------------------------------------
@@ -477,6 +525,116 @@ end program main
     rendered = fault.render()
     assert "error[E108]" in rendered
     assert rendered.startswith("test.lope:3:")
+
+
+def test_halo_wider_than_a_block_faults_at_allocation():
+    result = compile_file(CORPUS / "upwind.lope")
+    field = np.zeros((32, 32))
+    # 32 grid columns leave one interior cell per image in dim 1, under
+    # the two-cell low halo
+    with pytest.raises(RuntimeFault) as exc:
+        run_machine(result, field, images=32, steps=1)
+    assert exc.value.code == "E201"
+    for word in ("'u'", "dim 1", "width 2", "extent 1"):
+        assert word in exc.value.message
+    # a halo exactly as wide as the block is fine
+    run_machine(result, field, images=16, steps=1)
+
+
+# -- vector-launch workspace -----------------------------------------------
+
+
+def workspace_buffers(machine):
+    return [buf for ws in machine.workspaces.values() for buf in ws.buffers]
+
+
+def test_workspace_stops_growing_after_the_first_launch():
+    result = compile_file(CORPUS / "laplacian.lope")
+    rng = np.random.default_rng(8)
+    machine = Machine(result, RunConfig(images=4, grid_rows=2, steps=6),
+                      rng.uniform(-1, 1, (16, 16)))
+    seen = []
+    launch = machine._launch_vector
+
+    def spy(*args):
+        launch(*args)
+        seen.append([id(buf) for buf in workspace_buffers(machine)])
+
+    machine._launch_vector = spy
+    machine.run()
+    assert len(seen) == 24
+    assert all(ids == seen[0] for ids in seen)
+    assert 1 <= len(seen[0]) <= 2
+    assert list(machine.workspaces) == [("laplacian", (8, 8))]
+
+
+def left_deep_sum_kernel(terms: int) -> str:
+    rng = np.random.default_rng(terms)
+    parts = []
+    for t in range(terms):
+        o0, o1 = (int(v) for v in rng.integers(-1, 2, 2))
+        ref = f"U({o0},{o1})"
+        parts.append([ref, f"{t % 5 + 2}*{ref}", f"abs({ref})"][t % 3])
+    rhs = parts[0]
+    for t, part in enumerate(parts[1:]):
+        rhs += (" - " if t % 2 else " + ") + part
+        if t % 6 == 5:
+            rhs += " &\n         "
+    return f"""\
+pure concurrent subroutine big(U)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  U(0,0) = {rhs}
+end subroutine big
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call big( U(i,j)[device] )
+    end do
+  end do
+end program main
+"""
+
+
+def test_long_sum_holds_a_constant_number_of_buffers():
+    result = compile_source(left_deep_sum_kernel(40))
+    kir = lower_kernel(result.kernels["big"])
+    rng = np.random.default_rng(12)
+    field = rng.uniform(-1, 1, (12, 10))
+    machine = run_machine(result, field.copy(), images=2, steps=3)
+    assert len(workspace_buffers(machine)) <= 3
+    ref = field
+    for _ in range(3):
+        ref = oracle_step(ref, kir)
+    assert np.array_equal(machine.gather(), ref)
+
+
+def test_run_body_without_workspace_allocates_fresh_results():
+    result = compile_file(CORPUS / "laplacian.lope")
+    kir = lower_kernel(result.kernels["laplacian"])
+    padded = np.random.default_rng(2).uniform(-1, 1, (10, 10))
+
+    def read(name, offsets):
+        return padded[1 + offsets[0]:9 + offsets[0],
+                      1 + offsets[1]:9 + offsets[1]]
+
+    first = run_body(kir, read)["u"]
+    kept = first.copy()
+    second = run_body(kir, read)["u"]
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, padded)
+    assert np.array_equal(first, kept) and np.array_equal(first, second)
+
+    ws = Workspace((8, 8))
+    with_ws = run_body(kir, read, None, ws)["u"]
+    assert np.array_equal(with_ws, first)
+    assert any(with_ws is buf for buf in ws.buffers)
 
 
 # -- defaults --------------------------------------------------------------
