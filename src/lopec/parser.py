@@ -251,16 +251,6 @@ def _parse_halo_dim(ts: _Stream) -> HaloDim:
     return HaloDim(lo, hi)
 
 
-def parse_halo_spec(tokens: list[Token]) -> HaloSpec:
-    """Parse a standalone ``halo( ... )`` attribute from a token list."""
-    ts = _Stream(tokens)
-    ts.expect_kw("halo")
-    spec = _parse_halo_dims(ts)
-    if not ts.at(TokenKind.EOF):
-        raise ts.fail("expected end of halo attribute")
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # Kernel statements and expressions
 

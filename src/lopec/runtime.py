@@ -1,36 +1,55 @@
 """SPMD execution simulator.
 
 P images run the same desugared host plan over an MP x NP process grid.
-Each coarray is a set of per-image blocks: interior ``m x n`` plus halo
-padding, stored flat in column-major order (the same linearization the
-emitted C uses) and viewed through numpy's Fortran-order reshape.
+Each coarray is one stack of the per-image blocks (interior ``m x n`` plus
+halo padding) along a trailing image axis: a column-major array of shape
+``padded + (P,)``.  Image k's block ``stack[..., k-1]`` is contiguous and
+has the linearization the emitted C uses.
 
-Device subimages are simulated as per-image mirror buffers.  ``get_subimage``
-returns a handle distinct from every image index when a device is present
-and falls back to ``this_image()`` otherwise; mirror allocation, mirror
+Device subimages are simulated by a second stack of the same shape,
+allocated when the first image creates a mirror.  ``get_subimage`` returns
+a handle distinct from every image index when a device is present and
+falls back to ``this_image()`` otherwise; mirror allocation, mirror
 copies, and the per-dimension pull/push traffic of a device-resident halo
 exchange are all modelled and instrumented (event log + per-image counters).
+
+Images are generators advanced round-robin.  Each one stops at the next
+collective (``halo_transfer``, coarray ``allocate`` and ``deallocate``) and
+at every kernel launch, whose ranges, scalars and target it evaluates and
+checks on arrival.  Once every image has stopped, the launches that share
+an action, ranges, scalars and target run as one ``run_body`` call over
+``(range..., images)`` slabs: the paper's model, where every image applies
+the same kernel to its own block, in one step instead of P.  A stacked
+slab holds at most ``STACK_CELLS`` cells, so a larger group is split along
+the image axis, and an image whose slab alone exceeds the cap launches by
+itself.  Launches are image-local; images that disagree just form separate
+groups.  A host read through a cosubscript can see how far another image
+has run, so a program with one runs its launches inline instead, in the
+exact round-robin order.
 
 Launches are double-buffered: every read sees the pre-launch values, and a
 centre read after a centre store sees the pending value.  The default
 vector order evaluates whole ranges at once, reading slabs straight from
-the live buffers; no store reaches them until the whole body has been
+the live stacks; no store reaches them until the whole body has been
 evaluated, so no snapshot is needed.  A pending value that is still a view
-of a launched buffer (a bare read such as ``V(0,0) = V(0,1)``) is copied
+of a launched stack (a bare read such as ``V(0,0) = V(0,1)``) is copied
 before the first write-back, so aliased arguments cannot disturb it.  The
 arithmetic runs in a ``Workspace`` owned by the ``Machine``, one per
 (kernel, slab shape), whose buffers are reused by every later launch.  The
 point-at-a-time orders (forward, reverse, seeded shuffle) exist to
-demonstrate order independence; they write back point by point, so they
-read from a snapshot taken at launch.  All orders produce bit-identical
-results because they run the same float64 operation tree per element.
+demonstrate order independence; they run one image at a time and write
+back point by point, so they read from a snapshot taken at launch.  All
+orders produce bit-identical results because they run the same float64
+operation tree per element.
 
-Halo exchange is collective: the scheduler advances images round-robin to
-their next ``halo_transfer`` and performs the exchange once all arrive.
-Sweeps run dimension-ascending; every image finishes dimension d before any
-starts d+1, and slabs span the full padded extent of the other dimensions,
-so corner cells become correct transitively.  Boundaries wrap cyclically
-(an image can be its own neighbour).
+Halo exchange is collective and runs once every image has reached the same
+``halo_transfer``.  Each dimension and side is one gather along the image
+axis through a cyclic neighbour permutation computed once per machine; the
+device pull before it and the push after it are one slice each over all
+mirrored images.  Sweeps run dimension-ascending; every image finishes
+dimension d before any starts d+1, and slabs span the full padded extent
+of the other dimensions, so corner cells become correct transitively.
+Boundaries wrap cyclically (an image can be its own neighbour).
 
 ``oracle_step`` is the brute-force reference: it applies a kernel densely
 to the gathered global field with periodic indexing via ``numpy.roll`` —
@@ -39,11 +58,12 @@ no grid, no halo machinery — so distributed runs can be checked against it.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +77,9 @@ from .symbols import ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
 DEFAULT_EXTENT_2D = 32
+# Most cells one stacked launch slab holds.  Stacking large blocks only
+# grows the workspace buffers, and with them the peak memory.
+STACK_CELLS = 1 << 16
 
 
 @dataclass
@@ -78,23 +101,45 @@ class RunConfig:
 
 
 class DistributedArray:
-    """Per-image blocks (and optional device mirrors) of one coarray."""
+    """Every image's block of one array, stacked along a trailing image axis.
+
+    ``host`` is column-major with shape ``layout.padded() + (P,)``, so image
+    k's block ``host[..., k-1]`` is contiguous.  ``device`` holds the
+    device mirrors in a stack of the same shape; it is allocated when the
+    first image creates a mirror, and ``mirrored[k-1]`` tells whether image
+    k has one.  Allocation and deallocation are collective, so all images
+    hold a block or none does: ``host`` is None while unallocated.
+    """
 
     def __init__(self, entity: ArrayEntity, layout: StorageLayout,
                  grid: ProcessGrid):
         self.entity = entity
         self.layout = layout
         self.grid = grid
-        self.blocks: dict[int, np.ndarray] = {}
-        self.mirrors: dict[int, np.ndarray] = {}
-        self.mirror_handle: dict[int, int] = {}
-        self.state: dict[int, str] = {}
+        self.host: Optional[np.ndarray] = None
+        self.device: Optional[np.ndarray] = None
+        self.mirrored = np.zeros(grid.p, dtype=bool)
+
+    def allocate(self) -> None:
+        self.host = np.zeros(self.layout.padded() + (self.grid.p,),
+                             order="F")
+
+    def release(self) -> None:
+        self.host = self.device = None
+        self.mirrored[:] = False
+
+    def add_mirror(self, image: int) -> None:
+        """Give ``image`` a device mirror holding a copy of its block."""
+        if self.device is None:
+            self.device = np.zeros_like(self.host)
+        self.device[..., image - 1] = self.host[..., image - 1]
+        self.mirrored[image - 1] = True
 
     def view(self, image: int) -> np.ndarray:
-        return self.blocks[image].reshape(self.layout.padded(), order="F")
+        return self.host[..., image - 1]
 
     def mirror_view(self, image: int) -> np.ndarray:
-        return self.mirrors[image].reshape(self.layout.padded(), order="F")
+        return self.device[..., image - 1]
 
     def interior_index(self) -> tuple[slice, ...]:
         return tuple(slice(lo, lo + m)
@@ -138,6 +183,13 @@ class Machine:
         self.events: list[tuple] = []
         # vector-launch scratch, one per (kernel name, slab shape)
         self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
+        # 0-based cyclic neighbour of every image, per (grid axis, side):
+        # halo exchange gathers slabs along the image axis through these
+        self.neighbours = {
+            (axis, delta): np.array([self.grid.neighbor(k, axis, delta) - 1
+                                     for k in self.images])
+            for axis in (0, 1) for delta in (-1, 1)}
+        self._inline_launches = False
 
     # -- setup ------------------------------------------------------------
 
@@ -288,7 +340,7 @@ class Machine:
 
     def _require_allocated(self, arr: DistributedArray, k: int,
                            pos: SourcePos) -> None:
-        if arr.state.get(k) != "allocated":
+        if arr.host is None:
             raise RuntimeFault(UNALLOCATED,
                                f"'{arr.entity.name}' is not allocated on "
                                f"image {k}", pos)
@@ -315,35 +367,50 @@ class Machine:
     # -- plan execution ----------------------------------------------------
 
     def run(self) -> None:
-        """Execute the whole program under the round-robin reference schedule."""
+        """Execute the whole program.
+
+        Images advance round-robin to their next collective or launch.
+        The launches collected in a pass run together; a collective runs
+        once every image waits at it."""
         actions = hostplan.desugar(self.program).actions
+        # A coindexed read can see how far another image has run, so
+        # launches then stay in the exact round-robin order.
+        self._inline_launches = _reads_remote(actions)
         gens = {k: self._exec(actions, k) for k in self.images}
         finished: set[int] = set()
+        waiting: dict[int, tuple] = {}      # image -> its collective request
         while len(finished) < len(self.images):
-            requests: dict[int, tuple] = {}
+            launches = []
             for k in self.images:
-                if k in finished:
+                if k in finished or k in waiting:
                     continue
                 try:
-                    requests[k] = next(gens[k])
+                    request = next(gens[k])
                 except StopIteration:
                     finished.add(k)
-            if not requests:
+                    continue
+                if request[0] == "launch":
+                    launches.append(request[2])
+                else:
+                    waiting[k] = request
+            if launches:
+                self._run_launches(launches)
+                continue
+            if not waiting:
                 break
-            kinds = {(r[0], r[1]) for r in requests.values()}
+            kinds = {(r[0], r[1]) for r in waiting.values()}
             if finished or len(kinds) != 1:
                 raise RuntimeFault(
                     UNALLOCATED,
                     "images diverged at a collective operation")
-            kind, name, action = next(iter(requests.values()))
+            kind, name, action = next(iter(waiting.values()))
+            waiting.clear()
             if kind == "halo":
                 self._halo_exchange(name, action.pos)
             elif kind == "alloc":
-                for k in requests:
-                    self._alloc_host(action, k)
+                self._alloc_host(action)
             else:
-                for k in requests:
-                    self._dealloc(action, k)
+                self._dealloc(action)
 
     def _exec(self, actions: list, k: int):
         for a in actions:
@@ -355,6 +422,14 @@ class Machine:
                 yield ("alloc", a.entity, a)
             elif isinstance(a, hostplan.Deallocate):
                 yield ("dealloc", a.entity, a)
+            elif isinstance(a, hostplan.LaunchConcurrent):
+                launch = self._prepare_launch(a, k)
+                if launch is None:
+                    continue
+                if self._inline_launches:
+                    self._run_launches([launch])
+                else:
+                    yield ("launch", a.kernel, launch)
             elif isinstance(a, hostplan.LoopCounted):
                 lo = self._int(a.lo, k, "loop bound")
                 hi = self._int(a.hi, k, "loop bound")
@@ -391,18 +466,13 @@ class Machine:
         if isinstance(a, hostplan.SectionCopy):
             self._section_copy(a, k)
             return
-        if isinstance(a, hostplan.LaunchConcurrent):
-            self._launch(a, k)
-            return
         raise TypeError(type(a).__name__)  # pragma: no cover
 
-    def _dealloc(self, a: hostplan.Deallocate, k: int) -> None:
-        arr = self._live_array(a.entity, k, a.pos)
-        self._require_allocated(arr, k, a.pos)
-        arr.state[k] = "deallocated"
-        arr.blocks.pop(k, None)
-        arr.mirrors.pop(k, None)
-        arr.mirror_handle.pop(k, None)
+    def _dealloc(self, a: hostplan.Deallocate) -> None:
+        # collective: image 1 stands for every image
+        arr = self._live_array(a.entity, 1, a.pos)
+        self._require_allocated(arr, 1, a.pos)
+        arr.release()
 
     def _subimage_handle(self, requested: int, k: int) -> int:
         if 1 <= requested <= self.config.devices:
@@ -422,16 +492,35 @@ class Machine:
     def _block_interior(self) -> tuple[int, ...]:
         return (self.m,) if self.rank == 1 else (self.m, self.n)
 
-    def _alloc_host(self, a: hostplan.AllocCoarray, k: int) -> None:
+    def _alloc_host(self, a: hostplan.AllocCoarray) -> None:
+        """Allocate a block on every image (allocation is collective)."""
         ent = self.check.symtab.lookup(a.entity)
         assert isinstance(ent, ArrayEntity)
         arr = self.arrays.get(a.entity)
-        if arr is not None and arr.state.get(k) == "allocated":
+        if arr is not None and arr.host is not None:
             raise RuntimeFault(UNALLOCATED,
                                f"'{a.entity}' is already allocated", a.pos)
         if ent.corank > 0 and self.rank == 0:
             raise RuntimeFault(ALLOC_SHAPE,
                                "no distributed extents are configured", a.pos)
+        layout = arr.layout if arr is not None else None
+        for k in self.images:
+            block = self._block_layout(a, ent, k)
+            if layout is not None and block != layout:
+                raise RuntimeFault(ALLOC_SHAPE,
+                                   f"images allocate '{a.entity}' with "
+                                   f"different shapes", a.pos)
+            layout = block
+        if arr is None:
+            arr = DistributedArray(ent, layout, self.grid)
+            self.arrays[a.entity] = arr
+        arr.allocate()
+        if (self.primary is not None and ent.name == self.primary.name
+                and self.input_field is not None):
+            self._scatter(arr)
+
+    def _block_layout(self, a: hostplan.AllocCoarray, ent: ArrayEntity,
+                      k: int) -> StorageLayout:
         interior = (self._block_interior() if ent.corank > 0
                     else None)
         los, his, ms = [], [], []
@@ -477,30 +566,26 @@ class Machine:
             los.append(w_lo)
             his.append(w_hi)
             ms.append(m_d)
-        layout = StorageLayout(tuple(ms), tuple(los), tuple(his))
-        if arr is None:
-            arr = DistributedArray(ent, layout, self.grid)
-            self.arrays[a.entity] = arr
-        elif arr.layout != layout:
-            raise RuntimeFault(ALLOC_SHAPE,
-                               f"images allocate '{a.entity}' with "
-                               f"different shapes", a.pos)
-        arr.blocks[k] = np.zeros(layout.count(), dtype=np.float64)
-        arr.state[k] = "allocated"
-        if (self.primary is not None and ent.name == self.primary.name
-                and self.input_field is not None):
-            self._scatter_block(arr, k)
+        return StorageLayout(tuple(ms), tuple(los), tuple(his))
 
-    def _scatter_block(self, arr: DistributedArray, k: int) -> None:
-        pcol, prow = self.grid.coords(k)
-        view = arr.view(k)
+    def _blocks(self, arr: DistributedArray) -> np.ndarray:
+        """Every image's interior, as an ``(m, n, NP, MP)`` view of the stack.
+
+        Images are numbered column-major over the grid, so splitting the
+        image axis puts image k at ``[..., pcol-1, prow-1]``."""
+        blocks = arr.host[arr.interior_index() + (slice(None),)]
         if self.rank == 1:
-            part = self.input_field[(pcol - 1) * self.m: pcol * self.m, 0]
-            view[arr.interior_index()] = part
-        else:
-            part = self.input_field[(pcol - 1) * self.m: pcol * self.m,
-                                    (prow - 1) * self.n: prow * self.n]
-            view[arr.interior_index()] = part
+            blocks = blocks[:, None, :]
+        return blocks.reshape(self.m, self.n, self.grid.np, self.grid.mp)
+
+    def _tiles(self, field: np.ndarray) -> np.ndarray:
+        """The global field as the ``(m, n, NP, MP)`` view that ``_blocks``
+        gives of a stack: tile ``[..., pcol-1, prow-1]`` is image k's."""
+        return field.reshape(self.grid.np, self.m, self.grid.mp,
+                             self.n).transpose(1, 3, 0, 2)
+
+    def _scatter(self, arr: DistributedArray) -> None:
+        self._blocks(arr)[...] = self._tiles(self.input_field)
 
     def _alloc_device(self, a: hostplan.DeviceAllocFrom, k: int) -> None:
         handle = self._device_handle(a.device, k, a.pos)
@@ -508,8 +593,7 @@ class Machine:
             return      # fallback handle: no device, nothing to mirror
         arr = self._live_array(a.array, k, a.pos)
         self._require_allocated(arr, k, a.pos)
-        arr.mirrors[k] = arr.blocks[k].copy()
-        arr.mirror_handle[k] = handle
+        arr.add_mirror(k)
         self.counters[k]["h2d"] += 1
         self.events.append(("device_alloc", k, a.array))
 
@@ -519,16 +603,16 @@ class Machine:
         handle = self._device_handle(a.device, k, a.pos)
         if handle == k:
             return      # fallback: host and "device" are the same memory
-        if k not in arr.mirrors:
+        if not arr.mirrored[k - 1]:
             raise RuntimeFault(UNALLOCATED,
                                f"'{a.array}' has no device mirror on image "
                                f"{k}", a.pos)
         if a.direction == "device_to_host":
-            arr.blocks[k][:] = arr.mirrors[k]
+            arr.view(k)[...] = arr.mirror_view(k)
             self.counters[k]["d2h"] += 1
             self.events.append(("d2h", k, a.array, -1))
         else:
-            arr.mirrors[k][:] = arr.blocks[k]
+            arr.mirror_view(k)[...] = arr.view(k)
             self.counters[k]["h2d"] += 1
             self.events.append(("h2d", k, a.array, -1))
 
@@ -555,7 +639,10 @@ class Machine:
 
     # -- launches ----------------------------------------------------------
 
-    def _launch(self, a: hostplan.LaunchConcurrent, k: int) -> None:
+    def _prepare_launch(self, a: hostplan.LaunchConcurrent,
+                        k: int) -> Optional[_Launch]:
+        """Evaluate and check image k's launch and count it; None when a
+        range is empty."""
         kir = self.kernels[a.kernel]
         handle = self._device_handle(a.target, k, a.pos)
         on_device = handle != k
@@ -567,22 +654,17 @@ class Machine:
             ranges.append((lo, hi))
 
         arrays: dict[str, DistributedArray] = {}
-        buffers: dict[str, np.ndarray] = {}
         scalars: dict[str, object] = {}
         kernel_params = self.check.kernels[a.kernel].kernel.params
         for p, arg in zip(kernel_params, a.args):
             if isinstance(arg, ast.ElementArg):
                 arr = self._live_array(arg.array, k, a.pos)
                 self._require_allocated(arr, k, a.pos)
-                if on_device:
-                    if k not in arr.mirrors:
-                        raise RuntimeFault(
-                            UNALLOCATED,
-                            f"'{arg.array}' is not allocated on the device",
-                            a.pos)
-                    buffers[p] = arr.mirror_view(k)
-                else:
-                    buffers[p] = arr.view(k)
+                if on_device and not arr.mirrored[k - 1]:
+                    raise RuntimeFault(
+                        UNALLOCATED,
+                        f"'{arg.array}' is not allocated on the device",
+                        a.pos)
                 arrays[p] = arr
                 if interior is None:
                     interior = arr.layout.interior
@@ -609,40 +691,66 @@ class Machine:
             self.counters[k]["device_launches"] += 1
         self.events.append(("launch", k, a.kernel, on_device))
         if any(lo > hi for lo, hi in ranges):
-            return
-        layouts = {p: arrays[p].layout for p in buffers}
-        if self.config.order == "vector":
-            self._launch_vector(kir, ranges, buffers, layouts, scalars)
-        else:
-            snapshots = {p: buf.copy() for p, buf in buffers.items()}
-            self._launch_pointwise(kir, ranges, buffers, snapshots, layouts,
-                                   scalars)
+            return None
+        # The action fixes the kernel, its arrays and the scalar types.
+        # Scalars compare by their bits: 0.0 and -0.0 launch apart.
+        key = (id(a), on_device, tuple(ranges),
+               tuple(v.tobytes() for v in scalars.values()))
+        return _Launch(k, key, kir, ranges, arrays, on_device, scalars)
 
-    def _launch_vector(self, kir, ranges, buffers, layouts, scalars) -> None:
+    def _run_launches(self, launches: list[_Launch]) -> None:
+        """Run image-local launches; those with equal keys run stacked."""
+        groups: dict[tuple, list[_Launch]] = {}
+        for launch in launches:
+            groups.setdefault(launch.key, []).append(launch)
+        for group in groups.values():
+            first = group[0]
+            stacks = {p: arr.device if first.on_device else arr.host
+                      for p, arr in first.arrays.items()}
+            layouts = {p: arr.layout for p, arr in first.arrays.items()}
+            if self.config.order != "vector":
+                for launch in group:
+                    buffers = {p: stack[..., launch.image - 1]
+                               for p, stack in stacks.items()}
+                    snapshots = {p: buf.copy() for p, buf in buffers.items()}
+                    self._launch_pointwise(first.kernel, first.ranges,
+                                           buffers, snapshots, layouts,
+                                           first.scalars)
+                continue
+            cells = math.prod(hi - lo + 1 for lo, hi in first.ranges)
+            for images in _image_runs([launch.image for launch in group],
+                                      max(1, STACK_CELLS // cells)):
+                self._launch_vector(first.kernel, first.ranges, images,
+                                    stacks, layouts, first.scalars)
+
+    def _launch_vector(self, kir, ranges, images, stacks, layouts,
+                       scalars) -> None:
         # No snapshot: run_body evaluates every read before any pending
-        # value is written back, so the slabs come from the live buffers.
+        # value is written back, so the slabs come from the live stacks.
+        # ``images`` is a slice of the image axis.
         def read(name: str, offsets: tuple[int, ...]):
             lay = layouts[name]
             idx = tuple(slice(lo - 1 + hl + o, hi + hl + o)
                         for (lo, hi), hl, o in zip(ranges, lay.lo, offsets))
-            return buffers[name][idx]
+            return stacks[name][idx + (images,)]
 
-        shape = tuple(hi - lo + 1 for lo, hi in ranges)
+        shape = (tuple(hi - lo + 1 for lo, hi in ranges)
+                 + (images.stop - images.start,))
         workspace = self.workspaces.get((kir.name, shape))
         if workspace is None:
             workspace = self.workspaces[kir.name, shape] = Workspace(shape)
         pending = run_body(kir, read, scalars, workspace)
         # A store of a bare read (``V(0,0) = V(0,1)``) leaves a view of a
-        # live buffer pending; an earlier write-back could change it.
+        # live stack pending; an earlier write-back could change it.
         for name, value in pending.items():
-            if any(np.may_share_memory(value, buf)
-                   for buf in buffers.values()):
+            if any(np.may_share_memory(value, stack)
+                   for stack in stacks.values()):
                 pending[name] = value.copy()
         for name, value in pending.items():
             lay = layouts[name]
             out_idx = tuple(slice(lo - 1 + hl, hi + hl)
                             for (lo, hi), hl in zip(ranges, lay.lo))
-            buffers[name][out_idx] = value
+            stacks[name][out_idx + (images,)] = value
 
     def _launch_pointwise(self, kir, ranges, buffers, snapshots, layouts,
                           scalars) -> None:
@@ -673,9 +781,13 @@ class Machine:
             raise RuntimeFault(UNALLOCATED,
                                f"halo_transfer of '{name}' before it is "
                                f"allocated", pos)
-        for k in self.images:
-            self._require_allocated(arr, k, pos)
+        # allocation is collective: image 1 stands for every image
+        self._require_allocated(arr, 1, pos)
         layout = arr.layout
+        host, device = arr.host, arr.device
+        mirrored = [k for k in self.images if arr.mirrored[k - 1]]
+        on_device = (slice(None) if len(mirrored) == len(self.images)
+                     else np.array(mirrored) - 1)
         self.events.append(("halo_transfer", name))
         for d in range(layout.rank):
             w_lo, w_hi = layout.lo[d], layout.hi[d]
@@ -683,59 +795,54 @@ class Machine:
                 continue
             m_d = layout.interior[d]
 
-            def slab(sl: slice) -> tuple:
+            def slab(sl: slice, images) -> tuple:
                 idx: list = [slice(None)] * layout.rank
                 idx[d] = sl
-                return tuple(idx)
+                return tuple(idx) + (images,)
 
-            low_halo = slab(slice(0, w_lo))
-            high_halo = slab(slice(w_lo + m_d, w_lo + m_d + w_hi))
-            low_interior = slab(slice(w_lo, w_lo + w_hi))
-            high_interior = slab(slice(m_d, m_d + w_lo))
+            # (halo, the neighbour's interior slab that fills it, the
+            # neighbour of every image on that side, label)
+            sides = []
+            if w_lo:
+                sides.append((slice(0, w_lo), slice(m_d, m_d + w_lo),
+                              self.neighbours[d, -1], "low"))
+            if w_hi:
+                sides.append((slice(w_lo + m_d, w_lo + m_d + w_hi),
+                              slice(w_lo, w_lo + w_hi),
+                              self.neighbours[d, +1], "high"))
 
             # Device path, phase 1: refresh the host copy of the slabs the
-            # neighbours will read from this image.
-            for k in self.images:
-                if k not in arr.mirrors:
-                    continue
-                hv, mv = arr.view(k), arr.mirror_view(k)
-                if w_hi:
-                    hv[low_interior] = mv[low_interior]
-                    self.counters[k]["d2h"] += 1
-                    self.events.append(("d2h", k, name, d))
-                if w_lo:
-                    hv[high_interior] = mv[high_interior]
-                    self.counters[k]["d2h"] += 1
-                    self.events.append(("d2h", k, name, d))
+            # neighbours will read from each mirrored image.
+            if mirrored:
+                for _, interior, _, _ in sides:
+                    host[slab(interior, on_device)] = \
+                        device[slab(interior, on_device)]
+                self._count_copies("d2h", mirrored, name, d, len(sides))
 
             # Exchange on the host: every image completes dimension d
             # before any image starts d+1 (corners become correct
             # transitively because slabs span the full padded extent of the
-            # other dimensions).
-            for k in self.images:
-                hv = arr.view(k)
-                if w_lo:
-                    nb = self.grid.neighbor(k, 0 if d == 0 else 1, -1)
-                    hv[low_halo] = arr.view(nb)[high_interior].copy()
-                    self.events.append(("halo_fill", k, name, d, "low"))
-                if w_hi:
-                    nb = self.grid.neighbor(k, 0 if d == 0 else 1, +1)
-                    hv[high_halo] = arr.view(nb)[low_interior].copy()
-                    self.events.append(("halo_fill", k, name, d, "high"))
+            # other dimensions).  Gathering through the neighbour
+            # permutation copies, so an image may be its own neighbour.
+            for halo, interior, neighbour, _ in sides:
+                host[slab(halo, slice(None))] = host[slab(interior, neighbour)]
+            labels = [side[3] for side in sides]
+            self.events += [("halo_fill", k, name, d, label)
+                            for k in self.images for label in labels]
 
             # Device path, phase 2: push the received halo slabs back down.
-            for k in self.images:
-                if k not in arr.mirrors:
-                    continue
-                hv, mv = arr.view(k), arr.mirror_view(k)
-                if w_lo:
-                    mv[low_halo] = hv[low_halo]
-                    self.counters[k]["h2d"] += 1
-                    self.events.append(("h2d", k, name, d))
-                if w_hi:
-                    mv[high_halo] = hv[high_halo]
-                    self.counters[k]["h2d"] += 1
-                    self.events.append(("h2d", k, name, d))
+            if mirrored:
+                for halo, _, _, _ in sides:
+                    device[slab(halo, on_device)] = \
+                        host[slab(halo, on_device)]
+                self._count_copies("h2d", mirrored, name, d, len(sides))
+
+    def _count_copies(self, kind: str, images: list[int], name: str, d: int,
+                      copies: int) -> None:
+        for k in images:
+            self.counters[k][kind] += copies
+        self.events += [(kind, k, name, d)
+                        for k in images for _ in range(copies)]
 
     # -- gather / scatter --------------------------------------------------
 
@@ -750,18 +857,49 @@ class Machine:
         if arr is None:
             raise RuntimeFault(UNALLOCATED,
                                f"'{name}' was never allocated")
+        self._require_allocated(arr, 1, arr.entity.decl_pos)
         mg, ng = self.global_extents
         out = np.empty((mg, max(ng, 1)), dtype=np.float64)
-        for k in self.images:
-            self._require_allocated(arr, k, arr.entity.decl_pos)
-            pcol, prow = self.grid.coords(k)
-            block = arr.view(k)[arr.interior_index()]
-            if self.rank == 1:
-                out[(pcol - 1) * self.m: pcol * self.m, 0] = block
-            else:
-                out[(pcol - 1) * self.m: pcol * self.m,
-                    (prow - 1) * self.n: prow * self.n] = block
+        self._tiles(out)[...] = self._blocks(arr)
         return out
+
+
+@dataclass
+class _Launch:
+    """One image's evaluated launch, waiting to run."""
+
+    image: int
+    key: tuple              # images whose launches share it run stacked
+    kernel: KernelIR
+    ranges: list[tuple[int, int]]
+    arrays: dict[str, DistributedArray]
+    on_device: bool
+    scalars: dict[str, object]
+
+
+def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
+    """Slices of the image axis covering ascending ``images``: runs of
+    consecutive images, each at most ``limit`` long."""
+    start = prev = images[0]
+    for k in images[1:]:
+        if k == prev + 1 and k - start < limit:
+            prev = k
+            continue
+        yield slice(start - 1, prev)
+        start = prev = k
+    yield slice(start - 1, prev)
+
+
+def _reads_remote(node) -> bool:
+    """Whether a plan fragment reads an array through a cosubscript."""
+    if isinstance(node, ast.SectionRef) and node.cosubs:
+        return True
+    if isinstance(node, (list, tuple)):
+        return any(_reads_remote(x) for x in node)
+    if dataclasses.is_dataclass(node):
+        return any(_reads_remote(getattr(node, f.name))
+                   for f in dataclasses.fields(node))
+    return False
 
 
 # ---------------------------------------------------------------------------

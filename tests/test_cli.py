@@ -6,6 +6,7 @@ import pytest
 from conftest import BAD, CORPUS, GOLDEN
 from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
+from test_runtime import DIVERGENT_HALO
 
 LAP = str(CORPUS / "laplacian.lope")
 
@@ -154,6 +155,20 @@ def test_run_halo_wider_than_block_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out32.txt").exists()
     assert ((tmp_path / "out1.txt").read_bytes()
             == (tmp_path / "out16.txt").read_bytes())
+
+
+def test_run_divergent_collective_exit_3(tmp_path, capsys):
+    src = tmp_path / "diverge.lope"
+    src.write_text(DIVERGENT_HALO)
+    field = tmp_path / "in.txt"
+    write_array_file(str(field), np.zeros((4, 4)))
+    code = main(["run", str(src), "--images", "2", "--input", str(field),
+                 "-o", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error[E202]" in err
+    assert "images diverged at a collective operation" in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_run_shuffle_seed_output_identical(tmp_path):

@@ -1,4 +1,5 @@
-"""Simulator semantics: snapshots, halo exchange, devices, faults.
+"""Simulator semantics: snapshots, halo exchange, devices, stacked
+launches, faults.
 
 Key oracles:
 
@@ -7,6 +8,8 @@ Key oracles:
   block must equal the globally wrapped value after one exchange),
 * the dense `oracle_step` reference for whole runs.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -311,6 +314,44 @@ def test_device_pull_ordering_per_dimension():
                      "launch", "d2h"]
 
 
+def test_device_events_per_image_match_the_single_image_sequence():
+    """Images interleave their events differently under stacked launches,
+    but each image's own sequence is the one-image sequence."""
+    result = compile_file(CORPUS / "laplacian.lope")
+    field = np.random.default_rng(4).uniform(-1, 1, (8, 8))
+    machine = run_machine(result, field, images=4, grid_rows=2, steps=1,
+                          devices=1)
+    for k in machine.images:
+        names = [e[0] for e in machine.events
+                 if e[0] == "halo_transfer" or e[1] == k]
+        assert names == ["device_alloc", "halo_transfer",
+                         "d2h", "d2h", "halo_fill", "halo_fill", "h2d", "h2d",
+                         "d2h", "d2h", "halo_fill", "halo_fill", "h2d", "h2d",
+                         "launch", "d2h"], k
+    # all four launches run before any image copies its mirror back
+    kinds = [e[0] for e in machine.events]
+    assert kinds[-8:] == ["launch"] * 4 + ["d2h"] * 4
+
+
+def test_images_without_a_mirror_exchange_through_the_host():
+    text = (CORPUS / "laplacian.lope").read_text().replace(
+        "  device = GET_SUBIMAGE(1)\n",
+        "  device = GET_SUBIMAGE(1)\n"
+        "  if (this_image() == 2) then\n"
+        "    device = this_image()\n"
+        "  end if\n")
+    result = compile_source(text)
+    field = np.random.default_rng(11).uniform(-1, 1, (8, 8))
+    host = run_machine(result, field.copy(), images=4, grid_rows=2, steps=3)
+    dev = run_machine(result, field.copy(), images=4, grid_rows=2, steps=3,
+                      devices=1)
+    assert np.array_equal(host.gather(), dev.gather())
+    assert list(dev.arrays["u"].mirrored) == [True, False, True, True]
+    assert dev.counters[2] == host.counters[2]
+    assert dev.counters[1] == {"launches": 3, "device_launches": 3,
+                               "halo_transfers": 3, "d2h": 13, "h2d": 13}
+
+
 def test_second_subimage_distinct_handle():
     result = compile_file(CORPUS / "laplacian.lope")
     text = (CORPUS / "laplacian.lope").read_text().replace(
@@ -325,12 +366,16 @@ def test_second_subimage_distinct_handle():
     assert np.array_equal(base, second)
 
 
+def assert_no_mirrors(arr):
+    assert arr.device is None and not arr.mirrored.any()
+
+
 def test_subimage_falls_back_to_this_image_without_devices():
     result = compile_file(CORPUS / "laplacian.lope")
     machine = run_machine(result, np.zeros((4, 4)), images=2, devices=0)
     for k in (1, 2):
         assert machine.env[k]["device"] == k
-    assert machine.arrays["u"].mirrors == {}
+    assert_no_mirrors(machine.arrays["u"])
 
 
 def test_requesting_unavailable_device_falls_back():
@@ -339,7 +384,7 @@ def test_requesting_unavailable_device_falls_back():
     result = compile_source(text)
     machine = run_machine(result, np.zeros((4, 4)), images=1, devices=1)
     assert machine.env[1]["device"] == 1          # 3 > devices: fallback
-    assert machine.arrays["u"].mirrors == {}
+    assert_no_mirrors(machine.arrays["u"])
 
 
 # -- coindexed section copies ---------------------------------------------
@@ -562,10 +607,11 @@ def test_workspace_stops_growing_after_the_first_launch():
 
     machine._launch_vector = spy
     machine.run()
-    assert len(seen) == 24
+    # the four images launch stacked: one call per step
+    assert len(seen) == 6
     assert all(ids == seen[0] for ids in seen)
     assert 1 <= len(seen[0]) <= 2
-    assert list(machine.workspaces) == [("laplacian", (8, 8))]
+    assert list(machine.workspaces) == [("laplacian", (8, 8, 4))]
 
 
 def left_deep_sum_kernel(terms: int) -> str:
@@ -635,6 +681,193 @@ def test_run_body_without_workspace_allocates_fresh_results():
     with_ws = run_body(kir, read, None, ws)["u"]
     assert np.array_equal(with_ws, first)
     assert any(with_ws is buf for buf in ws.buffers)
+
+
+# -- stacked launches ------------------------------------------------------
+
+
+IMAGE_DEPENDENT = """\
+pure concurrent subroutine blend(U, c)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real :: c
+  U(0,0) = U(0,0) + c*(U(-1,0) + U(+1,0) + U(0,-1) + U(0,+1) - 4*U(0,0))
+end subroutine blend
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], &
+        HALO(1:*:1, 1:*:1) :: U
+  integer :: device
+  integer :: it
+
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  if (device /= this_image()) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M-pcol+1, j=prow:N) [[device]]
+      call blend( U(i,j)[device], 0.5*this_image() )
+    end do
+    if (this_image() == 2) then
+      do concurrent (i=1:M, j=1:N) [[device]]
+        call blend( U(i,j)[device], 0.125 )
+      end do
+    end if
+  end do
+
+  if (device /= this_image()) then
+    U = U[device]
+  end if
+  U(M,:) = U(1,:)[pcol+1, prow]
+end program main
+"""
+
+
+def sha1_of_run(text, devices):
+    result = compile_source(text)
+    field = np.random.default_rng(3).standard_normal((16, 16))
+    machine = run_machine(result, field, images=4, grid_rows=2, steps=3,
+                          devices=devices)
+    return hashlib.sha1(machine.gather().tobytes()).hexdigest(), machine
+
+
+def test_coindexed_read_keeps_the_round_robin_order():
+    """The final coindexed read sees how far image 3 (image 1's east
+    neighbour) has run: under round-robin, not past its last collective.
+    Stacking the launches would let image 3 launch first, giving another
+    field, and one that differs between host and device runs.  The
+    digests are those of the round-robin simulator before launches were
+    stacked."""
+    for devices in (0, 1):
+        digest, _ = sha1_of_run(IMAGE_DEPENDENT, devices)
+        assert digest == "074c491144e1da90742f3ea6b7e7d2552468f2ad", devices
+
+
+def test_image_dependent_launches_run_in_separate_groups():
+    """Without the coindexed read the launches stack; images with other
+    ranges, scalars or an extra launch still get their own results."""
+    local = IMAGE_DEPENDENT.replace("  U(M,:) = U(1,:)[pcol+1, prow]\n", "")
+    for devices in (0, 1):
+        digest, machine = sha1_of_run(local, devices)
+        assert digest == "5d58877a2537b2ff691227375bdc08112577328c", devices
+        assert [machine.counters[k]["launches"] for k in machine.images] \
+            == [3, 6, 3, 3]
+
+
+IMAGE_RANGES = """\
+pure concurrent subroutine bump(U)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  U(0,0) = U(0,0) + 1
+end subroutine bump
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  do concurrent (i=1:M-pcol+1, j=prow:N) [[device]]
+    call bump( U(i,j)[device] )
+  end do
+end program main
+"""
+
+
+def test_launches_with_other_ranges_run_apart():
+    result = compile_source(IMAGE_RANGES)
+    machine = run_machine(result, np.zeros((8, 6)), images=4, grid_rows=2)
+    want = np.zeros((8, 6))
+    m, n = machine.m, machine.n
+    for k in machine.images:
+        pcol, prow = machine.grid.coords(k)
+        want[(pcol - 1) * m:(pcol - 1) * m + m - pcol + 1,
+             (prow - 1) * n + prow - 1:prow * n] = 1.0
+    assert np.array_equal(machine.gather(), want)
+
+
+SIGNED_ZERO = """\
+pure concurrent subroutine sign(U, c)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real :: c
+  U(0,0) = max(min(1/c, 1.0), -1.0)
+end subroutine sign
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  real :: s
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  s = (1 - this_image()) * 0.0
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call sign( U(i,j)[device], s )
+  end do
+end program main
+"""
+
+
+def test_scalars_equal_in_value_but_not_in_sign_launch_apart():
+    # image 1 passes 0.0, the others -0.0, so 1/c is +inf or -inf
+    result = compile_source(SIGNED_ZERO)
+    with np.errstate(divide="ignore"):
+        got = run_machine(result, np.zeros((8, 2)), images=4).gather()
+    want = np.full((8, 2), -1.0)
+    want[:2] = 1.0
+    assert np.array_equal(got, want)
+
+
+def test_stacked_slabs_are_capped():
+    result = compile_file(CORPUS / "laplacian.lope")
+    field = np.random.default_rng(6).uniform(-1, 1, (256, 512))
+    # 8 images of 128 x 128 = 2**14 cells: four fit in one 2**16 slab
+    machine = Machine(result, RunConfig(images=8, grid_rows=4, steps=1),
+                      field.copy())
+    calls = []
+    launch = machine._launch_vector
+
+    def spy(kir, ranges, images, *rest):
+        calls.append(images)
+        launch(kir, ranges, images, *rest)
+
+    machine._launch_vector = spy
+    machine.run()
+    assert calls == [slice(0, 4), slice(4, 8)]
+    assert list(machine.workspaces) == [("laplacian", (128, 128, 4))]
+    kir = lower_kernel(result.kernels["laplacian"])
+    assert np.array_equal(machine.gather(), oracle_step(field, kir))
+    # a block over the cap launches alone
+    field = np.random.default_rng(7).uniform(-1, 1, (512, 512))
+    alone = run_machine(result, field.copy(), images=2, steps=1)
+    assert list(alone.workspaces) == [("laplacian", (256, 512, 1))]
+    assert np.array_equal(alone.gather(), oracle_step(field, kir))
+
+
+DIVERGENT_HALO = """\
+pure concurrent subroutine bump(U)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  U(0,0) = U(0,0) + 1
+end subroutine bump
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call bump( U(i,j)[device] )
+  end do
+  if (this_image() == 1) then
+    call HALO_TRANSFER(U, BC=CYCLIC)
+  end if
+end program main
+"""
+
+
+def test_a_collective_reached_by_some_images_faults():
+    fault = fault_of(DIVERGENT_HALO, np.zeros((4, 4)), images=2)
+    assert fault.code == "E202"
+    assert fault.message == "images diverged at a collective operation"
 
 
 # -- defaults --------------------------------------------------------------
