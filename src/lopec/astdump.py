@@ -1,10 +1,8 @@
-"""Deterministic term dump of the AST, its reader, and a source printer.
+"""Deterministic term dump of the AST, and a source printer.
 
 ``dump_ast`` renders a Program as a nested-term text (one statement per
 line, two-space indent, stable attribute order) so identical programs always
-produce identical bytes.  ``parse_dump`` reads that text back into an AST
-that compares structurally equal to the original (positions are excluded
-from node equality, so layout differences do not matter).
+produce identical bytes.
 
 ``format_expr`` prints an expression back in surface syntax with minimal
 parentheses; the host-plan printer and diagnostics use it.
@@ -12,11 +10,7 @@ parentheses; the host-plan printer and diagnostics use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast
-from .diagnostics import PARSE_ERROR, ParseError, SourcePos, error
-from .lexer import Token, TokenKind, tokenize
 
 # ---------------------------------------------------------------------------
 # Writer
@@ -141,299 +135,6 @@ def _expr(e: ast.Expr) -> str:
     if isinstance(e, ast.Call):
         return f'Call("{e.name}",[{",".join(_expr(a) for a in e.args)}])'
     raise TypeError(f"cannot dump expression {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Reader: generic terms first, then conversion to AST nodes.
-
-
-@dataclass
-class _Atom:
-    name: str
-    pos: SourcePos
-
-
-@dataclass
-class _Term:
-    head: str
-    args: list
-    pos: SourcePos
-
-
-def parse_dump(text: str, filename: str = "<dump>") -> ast.Program:
-    """Read a term dump back into a Program (raises ParseError on bad input)."""
-    tokens = [t for t in tokenize(text, filename)
-              if t.kind is not TokenKind.NEWLINE]
-    reader = _Reader(tokens)
-    value = reader.read_value()
-    if not reader.at_eof():
-        raise reader.err("trailing content after term")
-    return _conv_program(value)
-
-
-class _Reader:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.toks[min(self.i, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind is not TokenKind.EOF:
-            self.i += 1
-        return t
-
-    def at_eof(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
-
-    def err(self, message: str) -> ParseError:
-        return ParseError(error(PARSE_ERROR, self.peek().pos, message))
-
-    def read_value(self):
-        tok = self.peek()
-        if tok.kind is TokenKind.STRING:
-            self.next()
-            return tok.text
-        if tok.kind is TokenKind.INT:
-            self.next()
-            return int(tok.text)
-        if tok.kind is TokenKind.REAL:
-            self.next()
-            return float(tok.text.replace("d", "e").replace("D", "e"))
-        if tok.kind is TokenKind.MINUS:
-            self.next()
-            n = self.peek()
-            if n.kind is TokenKind.INT:
-                self.next()
-                return -int(n.text)
-            if n.kind is TokenKind.REAL:
-                self.next()
-                return -float(n.text.replace("d", "e").replace("D", "e"))
-            raise self.err("expected a number after '-'")
-        if tok.kind is TokenKind.LBRACK:
-            self.next()
-            items = []
-            if self.peek().kind is not TokenKind.RBRACK:
-                items.append(self.read_value())
-                while self.peek().kind is TokenKind.COMMA:
-                    self.next()
-                    items.append(self.read_value())
-            if self.peek().kind is not TokenKind.RBRACK:
-                raise self.err("expected ']' in term list")
-            self.next()
-            return items
-        if tok.kind in (TokenKind.IDENT, TokenKind.KW):
-            self.next()
-            if self.peek().kind is TokenKind.LPAREN:
-                self.next()
-                args = []
-                if self.peek().kind is not TokenKind.RPAREN:
-                    args.append(self.read_value())
-                    while self.peek().kind is TokenKind.COMMA:
-                        self.next()
-                        args.append(self.read_value())
-                if self.peek().kind is not TokenKind.RPAREN:
-                    raise self.err("expected ')' in term")
-                self.next()
-                return _Term(tok.text, args, tok.pos)
-            return _Atom(tok.text, tok.pos)
-        raise self.err("expected a term")
-
-
-def _bad(pos: SourcePos, message: str) -> ParseError:
-    return ParseError(error(PARSE_ERROR, pos, message))
-
-
-def _want_term(v, head: str, arity: int, what: str) -> _Term:
-    if not isinstance(v, _Term) or v.head != head or len(v.args) != arity:
-        pos = getattr(v, "pos", ast.NOPOS)
-        raise _bad(pos, f"malformed term dump: expected {what}")
-    return v
-
-
-def _conv_program(v) -> ast.Program:
-    t = _want_term(v, "program", 2, "Program(kernels, main)")
-    kernels = [_conv_kernel(k) for k in _as_list(t.args[0], t.pos)]
-    decls: list[ast.TypeDecl] = []
-    body: list[ast.Stmt] = []
-    for item in _as_list(t.args[1], t.pos):
-        if isinstance(item, _Term) and item.head == "decl":
-            if body:
-                raise _bad(item.pos, "declarations must precede statements")
-            decls.append(_conv_decl(item))
-        else:
-            body.append(_conv_stmt(item))
-    return ast.Program(t.pos, kernels, decls, body)
-
-
-def _as_list(v, pos: SourcePos) -> list:
-    if not isinstance(v, list):
-        raise _bad(getattr(v, "pos", pos), "malformed term dump: expected a list")
-    return v
-
-
-def _as_str(v, pos: SourcePos) -> str:
-    if not isinstance(v, str):
-        raise _bad(getattr(v, "pos", pos), "malformed term dump: expected a name")
-    return v
-
-
-def _conv_kernel(v) -> ast.KernelDef:
-    t = _want_term(v, "kernel", 4, "Kernel(name, params, decls, body)")
-    name = _as_str(t.args[0], t.pos)
-    params = [_as_str(p, t.pos) for p in _as_list(t.args[1], t.pos)]
-    decls = [_conv_decl(d) for d in _as_list(t.args[2], t.pos)]
-    body = [_conv_stmt(s) for s in _as_list(t.args[3], t.pos)]
-    return ast.KernelDef(t.pos, name, params, decls, body)
-
-
-def _conv_decl(v) -> ast.TypeDecl:
-    t = _want_term(v, "decl", 3, "Decl(base, attrs, names)")
-    if not isinstance(t.args[0], _Atom):
-        raise _bad(t.pos, "malformed term dump: bad declaration base type")
-    attrs = ast.DeclAttrs()
-    for a in _as_list(t.args[1], t.pos):
-        if isinstance(a, _Atom) and a.name == "allocatable":
-            attrs.allocatable = True
-        elif isinstance(a, _Atom) and a.name == "pure":
-            attrs.pure = True
-        elif isinstance(a, _Atom) and a.name == "concurrent":
-            attrs.concurrent = True
-        elif isinstance(a, _Term) and a.head == "dim" and len(a.args) == 1:
-            attrs.dim_count = int(a.args[0])
-        elif isinstance(a, _Term) and a.head == "codim" and len(a.args) == 1:
-            attrs.corank = int(a.args[0])
-        elif isinstance(a, _Term) and a.head == "halo" and len(a.args) == 1:
-            dims = []
-            for h in _as_list(a.args[0], a.pos):
-                if isinstance(h, _Atom) and h.name == "deferred":
-                    dims.append(ast.HaloDim(None, None))
-                else:
-                    ht = _want_term(h, "hdim", 2, "Hdim(lo, hi)")
-                    dims.append(ast.HaloDim(int(ht.args[0]), int(ht.args[1])))
-            attrs.halo = ast.HaloSpec(tuple(dims))
-        else:
-            raise _bad(t.pos, "malformed term dump: bad declaration attribute")
-    names = [_as_str(n, t.pos) for n in _as_list(t.args[2], t.pos)]
-    return ast.TypeDecl(t.pos, t.args[0].name, attrs, names)
-
-
-def _conv_stmt(v) -> ast.Stmt:
-    if not isinstance(v, _Term):
-        raise _bad(getattr(v, "pos", ast.NOPOS),
-                   "malformed term dump: expected a statement term")
-    h, args, pos = v.head, v.args, v.pos
-    if h == "assign" and len(args) == 2:
-        return ast.Assign(pos, _conv_expr(args[0]), _conv_expr(args[1]))
-    if h == "getsubimage" and len(args) == 2:
-        return ast.AssignSubimage(pos, _as_str(args[0], pos), int(args[1]))
-    if h == "mirror" and len(args) == 3:
-        if not isinstance(args[0], _Atom) or args[0].name not in ("d2h", "h2d"):
-            raise _bad(pos, "malformed term dump: bad mirror direction")
-        direction = ("device_to_host" if args[0].name == "d2h"
-                     else "host_to_device")
-        return ast.MirrorAssign(pos, direction, _as_str(args[1], pos),
-                                _as_str(args[2], pos))
-    if h == "alloc" and len(args) == 5:
-        entity = _as_str(args[0], pos)
-        bounds = []
-        for b in _as_list(args[1], pos):
-            bt = _want_term(b, "bound", 2, "Bound(lo, hi)")
-            bounds.append((_conv_expr(bt.args[0]), _conv_expr(bt.args[1])))
-        cobounds: list = []
-        for c in _as_list(args[2], pos):
-            if isinstance(c, _Atom) and c.name == "costar":
-                cobounds.append("*")
-            else:
-                cobounds.append(_conv_expr(c))
-        src = None if _is_none(args[3]) else _as_str(args[3], pos)
-        tgt = None if _is_none(args[4]) else _as_str(args[4], pos)
-        return ast.Allocate(pos, entity, bounds, cobounds, src, tgt)
-    if h == "dealloc" and len(args) == 1:
-        return ast.Deallocate(pos, _as_str(args[0], pos))
-    if h == "do" and len(args) == 4:
-        body = [_conv_stmt(s) for s in _as_list(args[3], pos)]
-        return ast.DoCounted(pos, _as_str(args[0], pos), _conv_expr(args[1]),
-                             _conv_expr(args[2]), body)
-    if h == "doconc" and len(args) == 3:
-        ranges = []
-        for r in _as_list(args[0], pos):
-            rt = _want_term(r, "r", 3, "R(var, lo, hi)")
-            ranges.append(ast.ConcRange(rt.pos, _as_str(rt.args[0], rt.pos),
-                                        _conv_expr(rt.args[1]),
-                                        _conv_expr(rt.args[2])))
-        return ast.DoConcurrent(pos, ranges, _as_str(args[1], pos),
-                                _conv_kernel_call(args[2]))
-    if h == "halotransfer" and len(args) == 2:
-        if not isinstance(args[1], _Atom) or args[1].name != "cyclic":
-            raise _bad(pos, "malformed term dump: bad boundary condition")
-        return ast.HaloTransfer(pos, _as_str(args[0], pos), "cyclic")
-    if h == "if" and len(args) == 2:
-        body = [_conv_stmt(s) for s in _as_list(args[1], pos)]
-        return ast.If(pos, _conv_expr(args[0]), body)
-    raise _bad(pos, f"malformed term dump: unknown statement {h!r}")
-
-
-def _conv_kernel_call(v) -> ast.KernelCall:
-    t = _want_term(v, "callkernel", 2, "CallKernel(name, args)")
-    args: list = []
-    for a in _as_list(t.args[1], t.pos):
-        if isinstance(a, _Term) and a.head == "elem" and len(a.args) == 3:
-            idx = [_as_str(i, a.pos) for i in _as_list(a.args[1], a.pos)]
-            dev = None if _is_none(a.args[2]) else _as_str(a.args[2], a.pos)
-            args.append(ast.ElementArg(a.pos, _as_str(a.args[0], a.pos),
-                                       idx, dev))
-        else:
-            args.append(_conv_expr(a))
-    return ast.KernelCall(t.pos, _as_str(t.args[0], t.pos), args)
-
-
-def _is_none(v) -> bool:
-    return isinstance(v, _Atom) and v.name == "none"
-
-
-_BIN_OPS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-_CMP_OPS = {"eq": "==", "ne": "/=", "lt": "<", "gt": ">"}
-
-
-def _conv_expr(v) -> ast.Expr:
-    if isinstance(v, _Atom):
-        if v.name == "all":
-            return ast.FullRange(v.pos)
-        raise _bad(v.pos, f"malformed term dump: unknown atom {v.name!r}")
-    if not isinstance(v, _Term):
-        raise _bad(ast.NOPOS, "malformed term dump: expected an expression")
-    h, args, pos = v.head, v.args, v.pos
-    if h == "int" and len(args) == 1:
-        return ast.IntLit(pos, int(args[0]))
-    if h == "real" and len(args) == 1:
-        return ast.RealLit(pos, float(args[0]))
-    if h == "id" and len(args) == 1:
-        return ast.Ident(pos, _as_str(args[0], pos))
-    if h == "offsetref" and len(args) == 2:
-        offsets = tuple(int(o) for o in _as_list(args[1], pos))
-        return ast.OffsetRef(pos, _as_str(args[0], pos), offsets)
-    if h == "section" and len(args) == 3:
-        subs = [_conv_expr(s) for s in _as_list(args[1], pos)]
-        if _is_none(args[2]):
-            cosubs = None
-        else:
-            cosubs = [_conv_expr(c) for c in _as_list(args[2], pos)]
-        return ast.SectionRef(pos, _as_str(args[0], pos), subs, cosubs)
-    if h in _BIN_OPS and len(args) == 2:
-        return ast.Bin(pos, _BIN_OPS[h], _conv_expr(args[0]),
-                       _conv_expr(args[1]))
-    if h == "neg" and len(args) == 1:
-        return ast.Neg(pos, _conv_expr(args[0]))
-    if h in _CMP_OPS and len(args) == 2:
-        return ast.Cmp(pos, _CMP_OPS[h], _conv_expr(args[0]),
-                       _conv_expr(args[1]))
-    if h == "call" and len(args) == 2:
-        return ast.Call(pos, _as_str(args[0], pos),
-                        [_conv_expr(a) for a in _as_list(args[1], pos)])
-    raise _bad(pos, f"malformed term dump: unknown expression {h!r}")
 
 
 # ---------------------------------------------------------------------------

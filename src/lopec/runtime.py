@@ -12,20 +12,28 @@ a handle distinct from every image index when a device is present and
 falls back to ``this_image()`` otherwise; mirror allocation, mirror
 copies, and the per-dimension pull/push traffic of a device-resident halo
 exchange are all modelled and instrumented (event log + per-image counters).
+A halo exchange logs one compact record per dimension and kind that stands
+for every image's events; ``Machine.events`` expands the log into a fresh
+list of per-image tuples each time it is read.
 
 Images are generators advanced round-robin.  Each one stops at the next
 collective (``halo_transfer``, coarray ``allocate`` and ``deallocate``) and
 at every kernel launch, whose ranges, scalars and target it evaluates and
-checks on arrival.  Once every image has stopped, the launches that share
-an action, ranges, scalars and target run as one ``run_body`` call over
-``(range..., images)`` slabs: the paper's model, where every image applies
-the same kernel to its own block, in one step instead of P.  A stacked
-slab holds at most ``STACK_CELLS`` cells, so a larger group is split along
-the image axis, and an image whose slab alone exceeds the cap launches by
-itself.  Launches are image-local; images that disagree just form separate
-groups.  A host read through a cosubscript can see how far another image
-has run, so a program with one runs its launches inline instead, in the
-exact round-robin order.
+checks on arrival.  Each launch action keeps its last evaluation for the
+run, keyed on the exact values (type and bits) of the names its ranges and
+scalars read and on whether it targets a device.  An image that finds the
+same key reuses those ranges and scalars, and only looks up its target and
+checks its own array arguments; arguments that call ``this_image()`` or
+read an array element are evaluated on every image.  Once every image has
+stopped, the launches that share an action, ranges, scalars and target run
+as one ``run_body`` call over ``(range..., images)`` slabs: the paper's
+model, where every image applies the same kernel to its own block, in one
+step instead of P.  A stacked slab holds at most ``STACK_CELLS`` cells, so
+a larger group is split along the image axis, and an image whose slab
+alone exceeds the cap launches by itself.  Launches are image-local;
+images that disagree just form separate groups.  A host read through a
+cosubscript can see how far another image has run, so a program with one
+runs its launches inline instead, in the exact round-robin order.
 
 Launches are double-buffered: every read sees the pre-launch values, and a
 centre read after a centre store sees the pending value.  The default
@@ -62,8 +70,9 @@ import dataclasses
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -180,7 +189,10 @@ class Machine:
             self.counters[k] = {"launches": 0, "device_launches": 0,
                                 "halo_transfers": 0, "d2h": 0, "h2d": 0}
         self.arrays: dict[str, DistributedArray] = {}
-        self.events: list[tuple] = []
+        # event tuples and _PerImage records; read through ``events``
+        self._log: list = []
+        # id(LaunchConcurrent) -> its one-entry cache, for one ``run``
+        self._launch_cache: dict[int, _LaunchCache] = {}
         # vector-launch scratch, one per (kernel name, slab shape)
         self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
         # 0-based cyclic neighbour of every image, per (grid axis, side):
@@ -190,6 +202,17 @@ class Machine:
                                      for k in self.images])
             for axis in (0, 1) for delta in (-1, 1)}
         self._inline_launches = False
+
+    @property
+    def events(self) -> list[tuple]:
+        """The event log as per-image tuples, in order; a fresh list."""
+        out: list[tuple] = []
+        for rec in self._log:
+            if isinstance(rec, _PerImage):
+                out += rec.expand()
+            else:
+                out.append(rec)
+        return out
 
     # -- setup ------------------------------------------------------------
 
@@ -373,6 +396,8 @@ class Machine:
         The launches collected in a pass run together; a collective runs
         once every image waits at it."""
         actions = hostplan.desugar(self.program).actions
+        # desugar builds new actions, whose ids may repeat old ones
+        self._launch_cache.clear()
         # A coindexed read can see how far another image has run, so
         # launches then stay in the exact round-robin order.
         self._inline_launches = _reads_remote(actions)
@@ -595,7 +620,7 @@ class Machine:
         self._require_allocated(arr, k, a.pos)
         arr.add_mirror(k)
         self.counters[k]["h2d"] += 1
-        self.events.append(("device_alloc", k, a.array))
+        self._log.append(("device_alloc", k, a.array))
 
     def _mirror_copy(self, a: hostplan.MirrorCopy, k: int) -> None:
         arr = self._live_array(a.array, k, a.pos)
@@ -610,11 +635,11 @@ class Machine:
         if a.direction == "device_to_host":
             arr.view(k)[...] = arr.mirror_view(k)
             self.counters[k]["d2h"] += 1
-            self.events.append(("d2h", k, a.array, -1))
+            self._log.append(("d2h", k, a.array, -1))
         else:
             arr.mirror_view(k)[...] = arr.view(k)
             self.counters[k]["h2d"] += 1
-            self.events.append(("h2d", k, a.array, -1))
+            self._log.append(("h2d", k, a.array, -1))
 
     # -- section copies ----------------------------------------------------
 
@@ -641,11 +666,39 @@ class Machine:
 
     def _prepare_launch(self, a: hostplan.LaunchConcurrent,
                         k: int) -> Optional[_Launch]:
-        """Evaluate and check image k's launch and count it; None when a
-        range is empty."""
-        kir = self.kernels[a.kernel]
+        """Check image k's launch and count it; None when a range is empty.
+
+        The ranges and scalars are evaluated unless the action's cache
+        holds them for the values image k's names have now."""
         handle = self._device_handle(a.target, k, a.pos)
         on_device = handle != k
+        cache = self._launch_cache.get(id(a))
+        if cache is None:
+            params = self.check.kernels[a.kernel].kernel.params
+            cache = self._launch_cache[id(a)] = _LaunchCache(a, params)
+        key = cache.key_for(self.env[k], on_device)
+        if key is not None and key == cache.key:
+            for name in cache.array_args:
+                self._launch_array(name, k, on_device, a.pos)
+            entry = cache.entry
+        else:
+            entry = self._evaluate_launch(a, k, on_device)
+            if key is not None:
+                cache.key, cache.entry = key, entry
+        self.counters[k]["launches"] += 1
+        if on_device:
+            self.counters[k]["device_launches"] += 1
+        self._log.append(("launch", k, a.kernel, on_device))
+        if entry is None:
+            return None
+        return _Launch(k, entry.key, entry.kernel, entry.ranges, entry.arrays,
+                       on_device, entry.scalars)
+
+    def _evaluate_launch(self, a: hostplan.LaunchConcurrent, k: int,
+                         on_device: bool) -> Optional[_Launch]:
+        """Evaluate and check image k's ranges, scalars and arrays; None
+        when a range is empty."""
+        kir = self.kernels[a.kernel]
         ranges = []
         interior = None
         for r in a.ranges:
@@ -658,13 +711,7 @@ class Machine:
         kernel_params = self.check.kernels[a.kernel].kernel.params
         for p, arg in zip(kernel_params, a.args):
             if isinstance(arg, ast.ElementArg):
-                arr = self._live_array(arg.array, k, a.pos)
-                self._require_allocated(arr, k, a.pos)
-                if on_device and not arr.mirrored[k - 1]:
-                    raise RuntimeFault(
-                        UNALLOCATED,
-                        f"'{arg.array}' is not allocated on the device",
-                        a.pos)
+                arr = self._launch_array(arg.array, k, on_device, a.pos)
                 arrays[p] = arr
                 if interior is None:
                     interior = arr.layout.interior
@@ -685,11 +732,6 @@ class Machine:
                     ALLOC_SHAPE,
                     f"launch range {lo}:{hi} lies outside the interior "
                     f"1:{interior[d]} in dim {d + 1}", a.pos)
-
-        self.counters[k]["launches"] += 1
-        if on_device:
-            self.counters[k]["device_launches"] += 1
-        self.events.append(("launch", k, a.kernel, on_device))
         if any(lo > hi for lo, hi in ranges):
             return None
         # The action fixes the kernel, its arrays and the scalar types.
@@ -697,6 +739,16 @@ class Machine:
         key = (id(a), on_device, tuple(ranges),
                tuple(v.tobytes() for v in scalars.values()))
         return _Launch(k, key, kir, ranges, arrays, on_device, scalars)
+
+    def _launch_array(self, name: str, k: int, on_device: bool,
+                      pos: SourcePos) -> DistributedArray:
+        arr = self._live_array(name, k, pos)
+        self._require_allocated(arr, k, pos)
+        if on_device and not arr.mirrored[k - 1]:
+            raise RuntimeFault(UNALLOCATED,
+                               f"'{name}' is not allocated on the device",
+                               pos)
+        return arr
 
     def _run_launches(self, launches: list[_Launch]) -> None:
         """Run image-local launches; those with equal keys run stacked."""
@@ -788,7 +840,7 @@ class Machine:
         mirrored = [k for k in self.images if arr.mirrored[k - 1]]
         on_device = (slice(None) if len(mirrored) == len(self.images)
                      else np.array(mirrored) - 1)
-        self.events.append(("halo_transfer", name))
+        self._log.append(("halo_transfer", name))
         for d in range(layout.rank):
             w_lo, w_hi = layout.lo[d], layout.hi[d]
             if w_lo == 0 and w_hi == 0:
@@ -826,9 +878,8 @@ class Machine:
             # permutation copies, so an image may be its own neighbour.
             for halo, interior, neighbour, _ in sides:
                 host[slab(halo, slice(None))] = host[slab(interior, neighbour)]
-            labels = [side[3] for side in sides]
-            self.events += [("halo_fill", k, name, d, label)
-                            for k in self.images for label in labels]
+            self._log.append(_PerImage("halo_fill", self.images, name, d,
+                                       tuple((side[3],) for side in sides)))
 
             # Device path, phase 2: push the received halo slabs back down.
             if mirrored:
@@ -841,8 +892,7 @@ class Machine:
                       copies: int) -> None:
         for k in images:
             self.counters[k][kind] += copies
-        self.events += [(kind, k, name, d)
-                        for k in images for _ in range(copies)]
+        self._log.append(_PerImage(kind, images, name, d, ((),) * copies))
 
     # -- gather / scatter --------------------------------------------------
 
@@ -877,6 +927,66 @@ class _Launch:
     scalars: dict[str, object]
 
 
+_UNSET = object()
+
+
+def _value_key(v) -> tuple:
+    """``v`` by type and bits: 0.0 and -0.0 differ, and so do 1 and 1.0."""
+    if type(v) is float:
+        return float, struct.pack("<d", v)
+    return type(v), v
+
+
+class _LaunchCache:
+    """One launch action's last evaluation, reused by every image whose
+    names read by the action's ranges and scalars hold the same values.
+
+    ``entry`` is the ``_Launch`` evaluated for ``key`` (None for an empty
+    range); its ranges and scalars are shared between images, so nothing
+    may change them."""
+
+    def __init__(self, a: hostplan.LaunchConcurrent, params: list[str]):
+        exprs = [e for r in a.ranges for e in (r.lo, r.hi)]
+        exprs += [arg for _, arg in zip(params, a.args)
+                  if not isinstance(arg, ast.ElementArg)]
+        nodes = list(_walk(exprs))
+        # these can differ between images whose names are equal
+        per_image = any(isinstance(n, ast.SectionRef)
+                        or (isinstance(n, ast.Call) and n.name == "this_image")
+                        for n in nodes)
+        self.names = (None if per_image else
+                      tuple(sorted({n.name for n in nodes
+                                    if isinstance(n, ast.Ident)})))
+        self.array_args = [arg.array for _, arg in zip(params, a.args)
+                           if isinstance(arg, ast.ElementArg)]
+        self.key: Optional[tuple] = None
+        self.entry: Optional[_Launch] = None
+
+    def key_for(self, env: dict, on_device: bool) -> Optional[tuple]:
+        """The cache key of an image with names ``env``; None when the
+        action is evaluated on every image."""
+        if self.names is None:
+            return None
+        return (on_device,) + tuple(_value_key(env.get(n, _UNSET))
+                                    for n in self.names)
+
+
+class _PerImage(NamedTuple):
+    """A log record for one event per image and variant: the tuples
+    ``(kind, k, name, d) + variant`` for each k in ``images`` and each
+    variant in ``variants``, in that order."""
+
+    kind: str
+    images: list[int]
+    name: str
+    d: int
+    variants: tuple[tuple, ...]
+
+    def expand(self) -> list[tuple]:
+        return [(self.kind, k, self.name, self.d) + v
+                for k in self.images for v in self.variants]
+
+
 def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     """Slices of the image axis covering ascending ``images``: runs of
     consecutive images, each at most ``limit`` long."""
@@ -890,16 +1000,21 @@ def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     yield slice(start - 1, prev)
 
 
+def _walk(node) -> Iterator:
+    """``node`` and everything inside it: actions, AST nodes, lists."""
+    yield node
+    if isinstance(node, (list, tuple)):
+        for x in node:
+            yield from _walk(x)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _walk(getattr(node, f.name))
+
+
 def _reads_remote(node) -> bool:
     """Whether a plan fragment reads an array through a cosubscript."""
-    if isinstance(node, ast.SectionRef) and node.cosubs:
-        return True
-    if isinstance(node, (list, tuple)):
-        return any(_reads_remote(x) for x in node)
-    if dataclasses.is_dataclass(node):
-        return any(_reads_remote(getattr(node, f.name))
-                   for f in dataclasses.fields(node))
-    return False
+    return any(isinstance(n, ast.SectionRef) and n.cosubs
+               for n in _walk(node))
 
 
 # ---------------------------------------------------------------------------

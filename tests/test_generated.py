@@ -4,7 +4,8 @@ The seeded generator in ``perfbench/gen.py`` writes rank-2 kernels with
 radii 1-3, scalar parameters and kernel locals, and evaluates each one
 densely with ``np.roll`` shifts, sharing no code with lopec.  Every
 configuration must give the same bytes as one image in vector order, and
-that field must agree with two applications of the generator's own
+that field must equal two applications of the dense ``oracle_step`` bit
+for bit and agree with two applications of the generator's own
 evaluation.
 """
 
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import TESTS, compile_source
-from lopec.runtime import Machine, RunConfig
+from lopec.ir import lower_kernel
+from lopec.runtime import Machine, RunConfig, oracle_step
 
 sys.path.insert(0, str(TESTS.parent / "perfbench"))
 import gen        # noqa: E402
@@ -63,5 +65,9 @@ def test_generated_kernel_is_invariant_and_matches_its_evaluation(index):
     for _ in range(CONFIGS_PER_PROGRAM):
         config = random_config(rng)
         assert run(check, field, **config).tobytes() == base.tobytes(), config
+    kir = lower_kernel(check.kernels[prog.kernel])
+    scalars = {name: np.float64(v) for name, v in prog.scalars.items()}
+    dense = oracle_step(oracle_step(field, kir, scalars), kir, scalars)
+    assert base.tobytes() == dense.tobytes()
     want = gen.evaluate(prog, gen.evaluate(prog, field))
     assert reference.close(base, want)

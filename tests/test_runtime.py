@@ -582,8 +582,12 @@ def test_halo_wider_than_a_block_faults_at_allocation():
     assert exc.value.code == "E201"
     for word in ("'u'", "dim 1", "width 2", "extent 1"):
         assert word in exc.value.message
-    # a halo exactly as wide as the block is fine
-    run_machine(result, field, images=16, steps=1)
+    # a halo exactly as wide as the block runs, and gives the one-image
+    # field byte for byte
+    field = np.random.default_rng(4).standard_normal((32, 32))
+    wide = run_machine(result, field.copy(), images=16, steps=1)
+    one = run_machine(result, field.copy(), images=1, steps=1)
+    assert wide.gather().tobytes() == one.gather().tobytes()
 
 
 # -- vector-launch workspace -----------------------------------------------
@@ -815,6 +819,180 @@ def test_scalars_equal_in_value_but_not_in_sign_launch_apart():
     want = np.full((8, 2), -1.0)
     want[:2] = 1.0
     assert np.array_equal(got, want)
+
+
+# -- launch cache ----------------------------------------------------------
+
+
+def test_launch_ranges_are_evaluated_once_not_per_image():
+    result = compile_file(CORPUS / "upwind.lope")
+    field = np.random.default_rng(2).standard_normal((32, 32))
+    machine = Machine(result, RunConfig(images=16, grid_rows=4, devices=1,
+                                        steps=3), field)
+    calls = []
+    evaluate = machine._int
+
+    def spy(e, k, what):
+        if what == "launch range":
+            calls.append(k)
+        return evaluate(e, k, what)
+
+    machine._int = spy
+    machine.run()
+    # two ranges of two bounds each, read from M and N, which hold the
+    # same values on every image and at every step
+    assert calls == [1] * 4
+    assert sum(c["launches"] for c in machine.counters.values()) == 16 * 3
+
+
+LOOP_SCALAR = """\
+pure concurrent subroutine blend(U, c)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real :: c
+  U(0,0) = U(0,0) + c*(U(-1,0) + U(+1,0) + U(0,-1) + U(0,+1) - 4*U(0,0))
+end subroutine blend
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], &
+        HALO(1:*:1, 1:*:1) :: U
+  integer :: device
+  integer :: it
+
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  if (device /= this_image()) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=pcol:M, j=1:N) [[device]]
+      call blend( U(i,j)[device], 0.25*it )
+    end do
+  end do
+
+  if (device /= this_image()) then
+    U = U[device]
+  end if
+end program main
+"""
+
+
+def test_launches_reading_the_loop_variable_and_pcol_stay_fresh():
+    """The scalar changes every step and the range from one grid column
+    to the next, so a cached launch must not be reused across either.
+    The digest is that of the simulator before launches were cached."""
+    for devices in (0, 1):
+        digest, machine = sha1_of_run(LOOP_SCALAR, devices)
+        assert digest == "0b011cbd8b93548292f5ca5f58c1dee8dc50d364", devices
+        assert [machine.counters[k]["launches"] for k in machine.images] \
+            == [3, 3, 3, 3]
+
+
+UNMIRRORED = """\
+pure concurrent subroutine bump(U)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  U(0,0) = U(0,0) + 1
+end subroutine bump
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  if (this_image() /= 2) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call bump( U(i,j)[device] )
+  end do
+end program main
+"""
+
+
+def test_an_image_reusing_a_cached_launch_still_checks_its_mirror():
+    result = compile_source(UNMIRRORED)
+    machine = Machine(result, RunConfig(images=4, grid_rows=2, devices=1),
+                      np.zeros((8, 8)))
+    with pytest.raises(RuntimeFault) as exc:
+        machine.run()
+    assert exc.value.code == "E202"
+    assert exc.value.message == "'u' is not allocated on the device"
+    assert exc.value.pos.line == 14
+    # image 1 filled the cache before image 2 faulted
+    (cache,) = machine._launch_cache.values()
+    assert cache.key is not None and cache.entry.image == 1
+    assert [machine.counters[k]["launches"] for k in machine.images] \
+        == [1, 0, 0, 0]
+
+
+PER_IMAGE_SCALARS = """\
+pure concurrent subroutine add(U, c)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real :: c
+  U(0,0) = U(0,0) + c
+end subroutine add
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call add( U(i,j)[device], 1.0*this_image() )
+  end do
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call add( U(i,j)[device], U(1,1) )
+  end do
+end program main
+"""
+
+
+def test_scalars_from_this_image_or_an_element_are_evaluated_per_image():
+    """Both launches read no name that differs between images, but their
+    scalars do: image k adds k, then its own U(1,1), which is k."""
+    result = compile_source(PER_IMAGE_SCALARS)
+    machine = run_machine(result, np.zeros((8, 6)), images=4, grid_rows=2)
+    want = np.zeros((8, 6))
+    m, n = machine.m, machine.n
+    for k in machine.images:
+        pcol, prow = machine.grid.coords(k)
+        want[(pcol - 1) * m:pcol * m, (prow - 1) * n:prow * n] = 2.0 * k
+    assert np.array_equal(machine.gather(), want)
+
+
+def test_halo_many_images_work_counts():
+    """The benchmark's halo-many-images run: upwind on 128 x 128 over 64
+    images on 8 grid rows with one device, 50 steps.  The digests are
+    those of the field and the event list before the log was built on
+    read."""
+    result = compile_file(CORPUS / "upwind.lope")
+    field = np.random.default_rng(9).standard_normal((128, 128))
+    machine = Machine(result, RunConfig(images=64, grid_rows=8, devices=1,
+                                        steps=50), field)
+    calls = []
+    launch = machine._launch_vector
+
+    def spy(*args):
+        calls.append(args[2])
+        launch(*args)
+
+    machine._launch_vector = spy
+    machine.run()
+    totals = {key: sum(c[key] for c in machine.counters.values())
+              for key in ("launches", "halo_transfers", "d2h", "h2d")}
+    assert totals == {"launches": 3200, "halo_transfers": 3200,
+                      "d2h": 9664, "h2d": 9664}
+    assert calls == [slice(0, 64)] * 50
+    assert hashlib.sha1(machine.gather().tobytes()).hexdigest() \
+        == "dc3cd1ea0acdb734380ed18e7870a4153581aaed"
+    events = machine.events
+    assert len(events) == 32178
+    assert hashlib.sha1(repr(events).encode()).hexdigest() \
+        == "73bfbc004f3fb4d9b6f71ff3e88b7c8917218c05"
+    assert machine.events == events
+    events.clear()
+    assert len(machine.events) == 32178
 
 
 def test_stacked_slabs_are_capped():
