@@ -72,9 +72,9 @@ def write_array(stream, field: np.ndarray) -> None:
         raise ArrayFormatError(f"cannot write a rank-{field.ndim} field")
     m, n = field.shape
     stream.write(f"{m} {n}\n")
+    line = " ".join(["%.17g"] * m) + "\n"
     for j in range(n):
-        stream.write(" ".join("%.17g" % v for v in field[:, j]))
-        stream.write("\n")
+        stream.write(line % tuple(field[:, j].tolist()))
 
 
 def write_array_file(path: str, field: np.ndarray) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # Lexical / syntactic
 LEX_ERROR = "E001"
@@ -46,9 +47,11 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, order=True)
-class SourcePos:
-    """1-based position of a token or construct in an input file."""
+class SourcePos(NamedTuple):
+    """1-based position of a token or construct in an input file.
+
+    A tuple, so positions order by (file, line, col).
+    """
 
     file: str
     line: int

@@ -22,6 +22,7 @@ allocated.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -198,21 +199,18 @@ class StorageLayout:
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        if not (len(self.interior) == len(self.lo) == len(self.hi)):
+        interior, lo, hi = self.interior, self.lo, self.hi
+        if not len(interior) == len(lo) == len(hi):
             raise ValueError("layout tuples must have equal length")
-        if any(m < 1 for m in self.interior):
+        if interior and min(interior) < 1:
             raise ValueError("interior extents must be positive")
-        if any(w < 0 for w in self.lo + self.hi):
+        if lo and min(lo + hi) < 0:
             raise ValueError("halo widths must be non-negative")
         # the layout is immutable, so its derived shapes are computed once
-        padded = tuple(m + a + b
-                       for m, a, b in zip(self.interior, self.lo, self.hi))
-        strides, acc = [], 1
-        for e in padded:
-            strides.append(acc)
-            acc *= e
+        padded = tuple(map(operator.add, map(operator.add, interior, lo), hi))
         object.__setattr__(self, "_padded", padded)
-        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_strides", tuple(
+            itertools.accumulate(padded, operator.mul, initial=1))[:-1])
 
     @property
     def rank(self) -> int:
@@ -246,21 +244,20 @@ def map_local_to_global(offsets: tuple[int, ...], center: tuple[int, ...],
     ndarray of flat indices); either way an out-of-box coordinate raises
     ``ValueError``.
     """
-    coords = [c + (lo - 1) + o
-              for c, lo, o in zip(center, layout.lo, offsets)]
-    if not any(isinstance(c, np.ndarray) for c in coords):
+    coords = []
+    vector = False
+    for c, lo, o in zip(center, layout.lo, offsets):
+        c = c + (lo - 1) + o
+        vector = vector or isinstance(c, np.ndarray)
+        coords.append(c)
+    if not vector:
         return layout.linear(tuple(coords))
-    padded = layout._padded
-    for c, e in zip(coords, padded):
-        lo_c, hi_c = ((c.min(), c.max()) if isinstance(c, np.ndarray)
-                      else (c, c))
-        if lo_c < 0 or hi_c >= e:
-            raise ValueError(f"coordinates outside padded extents {padded}")
-    # the stride of dim 1 is 1
-    index = coords[0]
-    for c, s in zip(coords[1:], layout._strides[1:]):
-        index = index + c * s
-    return index
+    # one C pass broadcasts, bounds-checks and linearizes the coordinates
+    try:
+        return np.ravel_multi_index(tuple(coords), layout._padded, order="F")
+    except ValueError:
+        raise ValueError("coordinates outside padded extents "
+                         f"{layout._padded}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ a partial stream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .diagnostics import LEX_ERROR, LexError, SourcePos, error
 
@@ -61,8 +61,7 @@ KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     pos: SourcePos
@@ -74,26 +73,29 @@ class Token:
         return f"{self.kind.name}({self.text!r}@{self.pos.line}:{self.pos.col})"
 
 
-# Longest alternatives first so maximal munch wins ([[ before [, == before =,
-# reals before ints).
+# Every group but real and int starts with its own set of characters, so
+# the groups are tried most frequent first; within a group the longest
+# alternative comes first, so maximal munch wins ([[ before [, == before =),
+# and reals come before ints.  ``cont`` is a whole trailing continuation:
+# the '&', blanks, an optional comment, the line break, leading blanks on
+# the next line and an optional leading '&'.  A lone '&' and any character
+# no other group takes are errors.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>![^\n]*)
-  | (?P<cont>&)
-  | (?P<newline>\n)
+    (?P<punct>\[\[|\]\]|::|==|/=|[()\[\],:+\-*/=<>])
+  | (?P<skip>[ \t\r]+|![^\n]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<real>(?:\d+\.\d*|\.\d+)(?:[eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
   | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<newline>\n)
+  | (?P<cont>&[ \t\r]*(?:![^\n]*)?\n[ \t\r]*&?)
+  | (?P<amp>&)
   | (?P<string>"[^"\n]*")
-  | (?P<dlbrack>\[\[)
-  | (?P<drbrack>\]\])
-  | (?P<dcolon>::)
-  | (?P<eq>==)
-  | (?P<ne>/=)
-  | (?P<op>[()\[\],:+\-*/=<>])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
-_SINGLE_OPS = {
+_PUNCT = {
+    "[[": TokenKind.DLBRACK, "]]": TokenKind.DRBRACK,
+    "::": TokenKind.DCOLON, "==": TokenKind.EQ, "/=": TokenKind.NE,
     "(": TokenKind.LPAREN, ")": TokenKind.RPAREN,
     "[": TokenKind.LBRACK, "]": TokenKind.RBRACK,
     ",": TokenKind.COMMA, ":": TokenKind.COLON,
@@ -106,86 +108,43 @@ _SINGLE_OPS = {
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     """Convert source text into a token list ending in a single EOF token."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    new = tuple.__new__          # skips the NamedTuple constructors
+    KW, IDENT, INT = TokenKind.KW, TokenKind.IDENT, TokenKind.INT
     line = 1
     line_start = 0
-    n = len(text)
-
-    def here() -> SourcePos:
-        return SourcePos(filename, line, pos - line_start + 1)
-
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LexError(error(
-                LEX_ERROR, here(), f"illegal character {text[pos]!r}"))
-        kind = m.lastgroup
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "skip":
+            continue
         lexeme = m.group()
-        start = here()
-        pos = m.end()
-
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "newline":
-            tokens.append(Token(TokenKind.NEWLINE, "\n", start))
-            line += 1
-            line_start = pos
-            continue
-        if kind == "cont":
-            # Trailing continuation: absorb spaces, an optional comment, the
-            # line break, leading spaces on the next line, and an optional
-            # leading '&' marker.  No NEWLINE token is produced.
-            while pos < n and text[pos] in " \t\r":
-                pos += 1
-            if pos < n and text[pos] == "!":
-                while pos < n and text[pos] != "\n":
-                    pos += 1
-            if pos >= n or text[pos] != "\n":
-                raise LexError(error(
-                    LEX_ERROR, start, "line continuation '&' not at end of line"))
-            pos += 1
-            line += 1
-            line_start = pos
-            while pos < n and text[pos] in " \t\r":
-                pos += 1
-            if pos < n and text[pos] == "&":
-                pos += 1
-            continue
-        if kind == "ident":
+        pos = new(SourcePos, (filename, line, m.start() - line_start + 1))
+        if group == "punct":
+            append(new(Token, (_PUNCT[lexeme], lexeme, pos)))
+        elif group == "ident":
             word = lexeme.lower()
-            tk = TokenKind.KW if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(tk, word, start))
-            continue
-        if kind == "real":
-            tokens.append(Token(TokenKind.REAL, lexeme, start))
-            continue
-        if kind == "int":
-            tokens.append(Token(TokenKind.INT, lexeme, start))
-            continue
-        if kind == "string":
-            tokens.append(Token(TokenKind.STRING, lexeme[1:-1], start))
-            continue
-        if kind == "dlbrack":
-            tokens.append(Token(TokenKind.DLBRACK, lexeme, start))
-            continue
-        if kind == "drbrack":
-            tokens.append(Token(TokenKind.DRBRACK, lexeme, start))
-            continue
-        if kind == "dcolon":
-            tokens.append(Token(TokenKind.DCOLON, lexeme, start))
-            continue
-        if kind == "eq":
-            tokens.append(Token(TokenKind.EQ, lexeme, start))
-            continue
-        if kind == "ne":
-            tokens.append(Token(TokenKind.NE, lexeme, start))
-            continue
-        if kind == "op":
-            tokens.append(Token(_SINGLE_OPS[lexeme], lexeme, start))
-            continue
-        raise AssertionError(f"unhandled token class {kind}")  # pragma: no cover
-
-    tokens.append(Token(TokenKind.EOF, "", here()))
+            append(new(Token, (KW if word in KEYWORDS else IDENT, word, pos)))
+        elif group == "int":
+            append(new(Token, (INT, lexeme, pos)))
+        elif group == "real":
+            append(new(Token, (TokenKind.REAL, lexeme, pos)))
+        elif group == "newline":
+            append(new(Token, (TokenKind.NEWLINE, lexeme, pos)))
+            line += 1
+            line_start = m.end()
+        elif group == "cont":    # joins the lines: no NEWLINE token
+            line += 1
+            line_start = text.index("\n", m.start()) + 1
+        elif group == "string":
+            append(new(Token, (TokenKind.STRING, lexeme[1:-1], pos)))
+        elif group == "amp":
+            raise LexError(error(
+                LEX_ERROR, pos, "line continuation '&' not at end of line"))
+        else:
+            raise LexError(error(
+                LEX_ERROR, pos, f"illegal character {lexeme!r}"))
+    append(Token(TokenKind.EOF, "",
+                 SourcePos(filename, line, len(text) - line_start + 1)))
     return tokens
 
 

@@ -34,24 +34,25 @@ _BASE_TYPES = ("real", "integer", "logical")
 
 class _Stream:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # ``next`` never moves past the first EOF, so with two more EOFs
+        # ``peek`` looks up to two tokens ahead without clamping
+        self.toks = tokens + tokens[-1:] * 2
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind is not TokenKind.EOF:
             self.i += 1
         return t
 
     def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
+        return self.toks[self.i].kind is kind
 
     def at_kw(self, word: str) -> bool:
-        return self.peek().is_kw(word)
+        return self.toks[self.i].is_kw(word)
 
     def fail(self, message: str, tok: Token | None = None) -> ParseError:
         t = tok or self.peek()

@@ -10,12 +10,13 @@ evaluation.
 """
 
 import random
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import TESTS, compile_source
+from conftest import TESTS, compile_source, diagnostics_of
 from lopec.ir import lower_kernel
 from lopec.runtime import Machine, RunConfig, oracle_step
 
@@ -30,6 +31,8 @@ STEPS = 2
 CONFIGS_PER_PROGRAM = 3
 PROGRAMS = [p for p in gen.generate(seed=11, count=25)
             if p.violation is None]
+PLANTED = [p for p in gen.generate(seed=11) if p.violation is not None]
+RENDERED = re.compile(r"[^:]*:(\d+):\d+: error\[(E\d+)\]")
 
 
 def random_config(rng: random.Random) -> dict:
@@ -71,3 +74,14 @@ def test_generated_kernel_is_invariant_and_matches_its_evaluation(index):
     assert base.tobytes() == dense.tobytes()
     want = gen.evaluate(prog, gen.evaluate(prog, field))
     assert reference.close(base, want)
+
+
+def test_planted_violations_report_their_code_on_their_line():
+    assert {p.violation[0] for p in PLANTED} == set(gen.VIOLATIONS)
+    # the kernels' long statements span continuation lines, so a planted
+    # line is often counted across one
+    assert any("&\n" in p.text for p in PLANTED)
+    for prog in PLANTED:
+        got = [(m[2], int(m[1])) for m in
+               map(RENDERED.match, diagnostics_of(prog.text, prog.name))]
+        assert got == [prog.violation], prog.text

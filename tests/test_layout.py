@@ -75,6 +75,32 @@ def test_out_of_bounds_coordinates_rejected():
         lay.linear((-1, 0))
 
 
+@pytest.mark.parametrize("offsets,center", [
+    ((np.array([0, 2]), 0), (4, 1)),          # one past the upper halo
+    ((np.array([-2, 0]), 0), (1, 1)),         # one before the lower halo
+    ((0, np.array([[0], [1]])), (np.array([1, 4]), 5)),    # second dim
+    ((0, -2), (np.array([1, 2]), 1)),         # an int out of the box
+])
+def test_out_of_box_array_coordinates_rejected(offsets, center):
+    lay = StorageLayout((4, 4), (1, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"outside padded extents \(6, 6\)"):
+        map_local_to_global(offsets, center, lay)
+
+
+def test_array_coordinates_broadcast_to_flat_indices():
+    lay = StorageLayout((4, 3), (1, 2), (2, 0))
+    ci = np.arange(1, 5)[:, None, None]
+    oj = np.arange(-2, 1)[None, None, :]
+    got = map_local_to_global((0, oj), (ci, np.array([1, 3])[None, :, None]),
+                              lay)
+    assert got.shape == (4, 2, 3)
+    for a in range(4):
+        for b, cj in enumerate((1, 3)):
+            for c in range(3):
+                assert got[a, b, c] == map_local_to_global(
+                    (0, c - 2), (a + 1, cj), lay)
+
+
 def test_invalid_layout_rejected():
     with pytest.raises(ValueError):
         StorageLayout((0,), (1,), (1,))

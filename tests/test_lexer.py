@@ -1,9 +1,17 @@
 """Scanner behaviour: token kinds, positions, continuations, errors."""
 
+import hashlib
+import random
+import sys
+
 import pytest
 
+from conftest import CORPUS_FILES, TESTS
 from lopec.diagnostics import LexError
 from lopec.lexer import TokenKind, real_value, tokenize
+
+sys.path.insert(0, str(TESTS.parent / "perfbench"))
+import gen  # noqa: E402
 
 
 def kinds(text):
@@ -106,3 +114,111 @@ def test_every_token_stream_ends_with_eof():
     for text in ("", "\n", "a", "! only a comment\n"):
         toks = tokenize(text)
         assert toks[-1].kind is TokenKind.EOF
+
+
+def positions(text):
+    return [(t.kind.name, t.text, t.pos.line, t.pos.col)
+            for t in tokenize(text)]
+
+
+def lex_error(text):
+    with pytest.raises(LexError) as exc:
+        tokenize(text, "bad.lope")
+    return exc.value.diagnostic.render()
+
+
+def test_positions_after_a_continuation_with_comment_and_leading_ampersand():
+    assert positions("a = 1 & ! keep going\n    & + 2\nb\n") == [
+        ("IDENT", "a", 1, 1), ("ASSIGN", "=", 1, 3), ("INT", "1", 1, 5),
+        ("PLUS", "+", 2, 7), ("INT", "2", 2, 9), ("NEWLINE", "\n", 2, 10),
+        ("IDENT", "b", 3, 1), ("NEWLINE", "\n", 3, 2), ("EOF", "", 4, 1)]
+
+
+def test_crlf_line_ends():
+    assert positions("a = 1\r\nb &\r\n  & c\r\n") == [
+        ("IDENT", "a", 1, 1), ("ASSIGN", "=", 1, 3), ("INT", "1", 1, 5),
+        ("NEWLINE", "\n", 1, 7), ("IDENT", "b", 2, 1), ("IDENT", "c", 3, 5),
+        ("NEWLINE", "\n", 3, 7), ("EOF", "", 4, 1)]
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("", 1, 1),
+    ("ab", 1, 3),
+    ("ab\n", 2, 1),
+    ("ab\n  ", 2, 3),
+    ("ab &\n  cd", 2, 5),
+    ("ab ! note", 1, 10),
+])
+def test_eof_position(text, line, col):
+    assert positions(text)[-1] == ("EOF", "", line, col)
+
+
+@pytest.mark.parametrize("text,col", [
+    ("a = 1 &", 7),
+    ("a = 1 &  ", 7),
+    ("a = 1 & x\n", 7),
+    ("a = 1 &! note", 7),
+])
+def test_ampersand_not_ending_a_line_is_reported_at_the_ampersand(text, col):
+    assert lex_error(text) == (
+        f"bad.lope:1:{col}: error[E001]: "
+        "line continuation '&' not at end of line")
+
+
+@pytest.mark.parametrize("text,line,col,char", [
+    ("a = 1 &\n  & + $\n", 2, 7, "$"),
+    ("a = 1 & ! note\n    + $\n", 2, 7, "$"),
+    ("a &\n &\n b &\n\t# = 2\n", 4, 2, "#"),
+])
+def test_illegal_character_on_a_continued_line(text, line, col, char):
+    assert lex_error(text) == (
+        f"bad.lope:{line}:{col}: error[E001]: illegal character {char!r}")
+
+
+# SHA-256 of every token's (kind, text, line, col), or of the rendered E001
+# diagnostic for an input that does not lex, over ``stream_inputs()``; any
+# change in tokens, positions or lex errors changes it
+STREAM_DIGEST = (
+    "41e546af47d2492337ff183eb91300b67d54f35f635afaea4c2bf73c28ebde48")
+MUTANTS = 400
+# characters and fragments that stress continuations, comments, line ends,
+# strings, numbers and illegal input
+EDITS = list("&&&\n\n\r\t !$#\".0123456789eEdDxU_()[]:,=+-*/<>") + [
+    "&\n", " & ! note\n  & ", "\r\n", "[[", "]]", "::", "==", "/=",
+    "1.5d-3", "& x", "!"]
+
+
+def stream_inputs() -> list[str]:
+    texts = ([p.read_text() for p in CORPUS_FILES]
+             + [g.text for g in gen.generate(seed=11)])
+    rng = random.Random(2015)
+    mutants = []
+    for _ in range(MUTANTS):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars))
+            op = rng.choice(("delete", "insert", "replace"))
+            if op == "delete":
+                del chars[i]
+            elif op == "insert":
+                chars.insert(i, rng.choice(EDITS))
+            else:
+                chars[i] = rng.choice(EDITS)
+        mutants.append("".join(chars))
+    return texts + mutants
+
+
+def test_token_streams_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    failed = 0
+    for k, text in enumerate(stream_inputs()):
+        try:
+            record = [(t.kind.name, t.text, t.pos.line, t.pos.col)
+                      for t in tokenize(text, f"in{k}.lope")]
+        except LexError as exc:
+            record = exc.diagnostic.render()
+            failed += 1
+        digest.update(repr(record).encode())
+    # both outcomes are covered
+    assert 0 < failed < MUTANTS
+    assert digest.hexdigest() == STREAM_DIGEST
