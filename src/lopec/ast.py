@@ -13,9 +13,6 @@ from typing import Optional, Union
 
 from .diagnostics import SourcePos
 
-# Position used when a node is built outside parsing (tests, term reader).
-NOPOS = SourcePos("<none>", 0, 0)
-
 
 @dataclass
 class Node:

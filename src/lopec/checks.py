@@ -7,7 +7,10 @@ Kernels are checked for the communication-avoiding discipline:
 * once an array has been stored to, later statements may not read it at a
   non-zero offset (E103) — halo cells would then be stale;
 * kernels reference nothing but their parameters, local scalars, and the
-  whitelisted intrinsics ``abs, min, max, sqrt`` (E104).
+  whitelisted intrinsics ``abs, min, max, sqrt`` (E104);
+* a kernel has at least one array parameter, and its array parameters are
+  all ``real`` (E104) and share one rank of at most 3 (E012), the only
+  signatures the C emitter and the runtime translate.
 
 Each kernel's read *footprint* (max offset per direction per dimension) is
 computed here and compared against declared halo widths at every launch site
@@ -20,19 +23,19 @@ host checks; diagnostics come back sorted by source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ast
 from .diagnostics import (ALLOC_SHAPE, DEVICE_NOT_SUBIMAGE, DUPLICATE_DECL,
                           HALO_BOUNDS, HALO_SHAPE, HALO_WRITE, IMPURE_KERNEL,
                           MISSING_HALO, STORE_THEN_HALO_READ, UNDECLARED,
-                          Diagnostic, SourcePos, error, has_errors,
-                          sort_diagnostics)
+                          Diagnostic, SourcePos, error, sort_diagnostics)
+from .parser import INTRINSICS as HOST_INTRINSICS
 from .parser import KERNEL_INTRINSICS
 from .symbols import (ArrayEntity, ScalarEntity, SymbolTable,
-                      build_symbol_table, entity_from_decl)
+                      build_symbol_table, decl_rank)
 
-HOST_INTRINSICS = frozenset({"this_image", "abs", "min", "max", "sqrt"})
+MAX_KERNEL_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return not has_errors(self.diagnostics)
+        return not self.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +93,7 @@ def check_kernel(kernel: ast.KernelDef):
     declared: dict[str, ast.TypeDecl] = {}
     declared_rank: dict[str, int] = {}
     for decl in kernel.decls:
-        a = decl.attrs
-        rank = a.dim_count if a.dim_count is not None else (
-            a.halo.rank if a.halo is not None else 0)
+        rank = decl_rank(decl.attrs)
         for name in decl.names:
             if name in declared:
                 diags.append(error(DUPLICATE_DECL, decl.pos,
@@ -123,12 +124,33 @@ def check_kernel(kernel: ast.KernelDef):
         if rank > 0:
             info.array_params.append(p)
             info.footprints[p] = Footprint.zero(rank)
+            first = info.array_params[0]
             if decl.attrs.halo is None:
                 diags.append(error(
                     MISSING_HALO, decl.pos,
                     f"kernel array parameter '{p}' has no halo attribute"))
+            if rank > MAX_KERNEL_RANK:
+                diags.append(error(
+                    HALO_SHAPE, decl.pos,
+                    f"kernel array parameter '{p}' has rank {rank}; at most "
+                    f"{MAX_KERNEL_RANK} is supported"))
+            elif rank != info.param_rank[first]:
+                diags.append(error(
+                    HALO_SHAPE, decl.pos,
+                    f"kernel array parameter '{p}' has rank {rank} but "
+                    f"'{first}' has rank {info.param_rank[first]}; a "
+                    f"kernel's array parameters share one rank"))
+            if decl.base != "real":
+                diags.append(error(
+                    IMPURE_KERNEL, decl.pos,
+                    f"kernel array parameter '{p}' is {decl.base}; kernel "
+                    f"arrays must be real"))
         else:
             info.scalar_params.append(p)
+    if not info.array_params:
+        diags.append(error(
+            IMPURE_KERNEL, kernel.pos,
+            f"kernel '{kernel.name}' has no array parameter"))
 
     known_scalars = set(info.scalar_params) | set(info.local_scalars)
     stored: set[str] = set()

@@ -125,7 +125,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         grid_rows=args.grid_rows,
         devices=args.devices,
         steps=args.steps,
-        order="shuffle" if args.shuffle_seed is not None else "vector",
         shuffle_seed=args.shuffle_seed,
     )
     try:

@@ -12,7 +12,9 @@ index follows the column-major padded layout, highest dimension first::
 
 Emission is pure text generation from the IR: same IR, same bytes.  A
 centre read that follows a centre store reads the output buffer so the C
-matches the interpreter's pending-centre semantics.
+matches the interpreter's pending-centre semantics.  The IR comes from a
+checked kernel, so its array parameters are real and share one rank of at
+most 3.
 """
 
 from __future__ import annotations
@@ -23,36 +25,22 @@ from .ir import (Add, Const, Div, IntrinsicCall, IRExpr, KernelIR, Mul, Neg,
                  Read, ScalarRead)
 
 
-class CodegenError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EmitConfig:
     real_c_type: str = "float"
-    extent_symbols: tuple[str, ...] = ("M", "N", "L")
-    id_symbols: tuple[str, ...] = ("i", "j", "k")
-    indent: str = "    "
 
+
+# per dimension: the interior extent and the work-item id
+EXTENT_SYMBOLS = ("M", "N", "L")
+ID_SYMBOLS = ("i", "j", "k")
+INDENT = "    "
 
 _INTRINSIC_C = {"abs": "fabs", "min": "fmin", "max": "fmax", "sqrt": "sqrt"}
 
 
 def emit_kernel_source(ir: KernelIR, config: EmitConfig = EmitConfig()) -> str:
     """Render one kernel as C-dialect source (deterministic bytes)."""
-    if not ir.array_params:
-        raise CodegenError(f"kernel '{ir.name}' has no array parameter")
     rank = ir.rank
-    if rank > len(config.extent_symbols):
-        raise CodegenError(f"rank {rank} exceeds the emitter's dimension "
-                           f"symbols")
-    for p in ir.array_params:
-        if ir.param_rank[p] != rank:
-            raise CodegenError("array parameters must share one rank")
-        if ir.param_types[p] != "real":
-            raise CodegenError(
-                f"unsupported element type '{ir.param_types[p]}' for "
-                f"parameter '{p}'")
     stored = set(ir.stored_arrays)
 
     params: list[str] = []
@@ -61,7 +49,7 @@ def emit_kernel_source(ir: KernelIR, config: EmitConfig = EmitConfig()) -> str:
         if p in stored:
             params.append(f"__global {config.real_c_type}* {p}_out")
     for d in range(rank):
-        params.append(f"const int {config.extent_symbols[d]}")
+        params.append(f"const int {EXTENT_SYMBOLS[d]}")
         params.append(f"const int hlo{d}")
         params.append(f"const int hhi{d}")
     for p in ir.scalar_params:
@@ -70,23 +58,22 @@ def emit_kernel_source(ir: KernelIR, config: EmitConfig = EmitConfig()) -> str:
 
     emitter = _Emitter(ir, config, stored)
     lines = [f"__kernel void {ir.name}({', '.join(params)})", "{"]
-    ind = config.indent
     for d in range(rank):
-        lines.append(f"{ind}const int {config.id_symbols[d]} = "
+        lines.append(f"{INDENT}const int {ID_SYMBOLS[d]} = "
                      f"get_global_id({d});")
-    lines.append(f"{ind}const int idx = "
+    lines.append(f"{INDENT}const int idx = "
                  f"{emitter.index_expr((0,) * rank)};")
     for name in ir.local_scalars:
         ctype = (config.real_c_type
                  if ir.param_types.get(name, "real") == "real" else "int")
-        lines.append(f"{ind}{ctype} {name};")
+        lines.append(f"{INDENT}{ctype} {name};")
     for st in ir.body:
         rhs = emitter.expr(st.expr, 0)
         if st.is_array:
-            lines.append(f"{ind}{st.target}_out[idx] = {rhs};")
+            lines.append(f"{INDENT}{st.target}_out[idx] = {rhs};")
             emitter.center_stored.add(st.target)
         else:
-            lines.append(f"{ind}{st.target} = {rhs};")
+            lines.append(f"{INDENT}{st.target} = {rhs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -99,17 +86,17 @@ class _Emitter:
     center_stored: set[str] = field(default_factory=set)
 
     def padded_extent(self, d: int) -> str:
-        return f"({self.config.extent_symbols[d]}+hlo{d}+hhi{d})"
+        return f"({EXTENT_SYMBOLS[d]}+hlo{d}+hhi{d})"
 
     def index_expr(self, offsets: tuple[int, ...]) -> str:
         terms = []
         for d in range(len(offsets) - 1, 0, -1):
             off = f"+({offsets[d]})" if offsets[d] else ""
-            coord = f"({self.config.id_symbols[d]}+hlo{d}{off})"
+            coord = f"({ID_SYMBOLS[d]}+hlo{d}{off})"
             factors = "".join("*" + self.padded_extent(e)
                               for e in range(d - 1, -1, -1))
             terms.append(coord + factors)
-        terms.append(f"({self.config.id_symbols[0]}+hlo0)")
+        terms.append(f"({ID_SYMBOLS[0]}+hlo0)")
         if offsets[0]:
             terms.append(f"({offsets[0]})")
         return " + ".join(terms)

@@ -13,7 +13,6 @@ so scripts can match on it.  Diagnostics are sorted by source position
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 # Lexical / syntactic
@@ -42,11 +41,6 @@ GRID_FACTOR = "E201"
 UNALLOCATED = "E202"
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 class SourcePos(NamedTuple):
     """1-based position of a token or construct in an input file.
 
@@ -64,29 +58,20 @@ class SourcePos(NamedTuple):
 @dataclass(frozen=True)
 class Diagnostic:
     code: str
-    severity: Severity
     pos: SourcePos
     message: str
 
     def render(self) -> str:
-        return f"{self.pos}: {self.severity.value}[{self.code}]: {self.message}"
+        return f"{self.pos}: error[{self.code}]: {self.message}"
 
 
 def error(code: str, pos: SourcePos, message: str) -> Diagnostic:
-    return Diagnostic(code, Severity.ERROR, pos, message)
-
-
-def warning(code: str, pos: SourcePos, message: str) -> Diagnostic:
-    return Diagnostic(code, Severity.WARNING, pos, message)
+    return Diagnostic(code, pos, message)
 
 
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
     """Deterministic reporting order: by position, then code."""
     return sorted(diags, key=lambda d: (d.pos, d.code))
-
-
-def has_errors(diags: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diags)
 
 
 class CompileError(Exception):

@@ -21,7 +21,7 @@ from .ast import (Allocate, Assign, AssignSubimage, Bin, Call, Cmp, ConcRange,
                   Expr, FullRange, HaloDim, HaloSpec, HaloTransfer, Ident, If,
                   IntLit, KernelCall, KernelDef, MirrorAssign, Neg, OffsetRef,
                   Program, RealLit, SectionRef, Stmt, TypeDecl)
-from .diagnostics import PARSE_ERROR, Diagnostic, LexError, ParseError, error
+from .diagnostics import PARSE_ERROR, LexError, ParseError, error
 from .lexer import Token, TokenKind, real_value, tokenize
 
 # Functions callable in host expressions; kernels restrict further (checked
@@ -30,6 +30,9 @@ INTRINSICS = frozenset({"this_image", "abs", "min", "max", "sqrt"})
 KERNEL_INTRINSICS = frozenset({"abs", "min", "max", "sqrt"})
 
 _BASE_TYPES = ("real", "integer", "logical")
+# (opening, what it is expected as, closing, what it is expected as)
+_PARENS = (TokenKind.LPAREN, "'('", TokenKind.RPAREN, "')'")
+_BRACKS = (TokenKind.LBRACK, "'['", TokenKind.RBRACK, "']'")
 
 
 class _Stream:
@@ -84,6 +87,41 @@ class _Stream:
         self.expect(TokenKind.NEWLINE, "end of statement")
         self.skip_newlines()
 
+    def list(self, item, *args, bracket: tuple | None = None,
+             empty: bool = False) -> list:
+        """``item(self, *args)`` separated by commas, between ``bracket``
+        (``_PARENS`` or ``_BRACKS``) when given; ``empty`` allows ``()``.
+        Items are module-level parsers: a closure built per call costs
+        measurable parse time."""
+        toks = self.toks
+        if bracket is not None:
+            opening, opened, close, closed = bracket
+            self.expect(opening, opened)
+            if empty and toks[self.i].kind is close:
+                self.i += 1
+                return []
+        items = [item(self, *args)]
+        while toks[self.i].kind is TokenKind.COMMA:
+            self.i += 1
+            items.append(item(self, *args))
+        if bracket is not None:
+            self.expect(close, closed)
+        return items
+
+    def body(self, stmt, closing: str) -> list[Stmt]:
+        """Statements parsed by ``stmt(self)`` up to ``end <closing>``."""
+        stmts = []
+        while not self.at_kw("end"):
+            stmts.append(stmt(self))
+            self.end_stmt()
+        self.expect_kw("end")
+        self.expect_kw(closing)
+        return stmts
+
+
+def _name(ts: _Stream, what: str) -> str:
+    return ts.expect(TokenKind.IDENT, what).text
+
 
 # ---------------------------------------------------------------------------
 # Entry points
@@ -129,19 +167,10 @@ def _parse_kernel(ts: _Stream) -> KernelDef:
     ts.expect_kw("concurrent")
     ts.expect_kw("subroutine")
     name = ts.expect(TokenKind.IDENT, "kernel name").text
-    ts.expect(TokenKind.LPAREN, "'('")
-    params = [ts.expect(TokenKind.IDENT, "parameter name").text]
-    while ts.accept(TokenKind.COMMA):
-        params.append(ts.expect(TokenKind.IDENT, "parameter name").text)
-    ts.expect(TokenKind.RPAREN, "')'")
+    params = ts.list(_name, "parameter name", bracket=_PARENS)
     ts.end_stmt()
     decls = _parse_decl_block(ts)
-    body: list[Stmt] = []
-    while not ts.at_kw("end"):
-        body.append(_parse_kernel_stmt(ts))
-        ts.end_stmt()
-    ts.expect_kw("end")
-    ts.expect_kw("subroutine")
+    body = ts.body(_parse_kernel_stmt, "subroutine")
     if ts.at(TokenKind.IDENT):
         endname = ts.next()
         if endname.text != name:
@@ -155,12 +184,7 @@ def _parse_main(ts: _Stream):
     ts.expect(TokenKind.IDENT, "program name")
     ts.end_stmt()
     decls = _parse_decl_block(ts)
-    body: list[Stmt] = []
-    while not ts.at_kw("end"):
-        body.append(_parse_host_stmt(ts))
-        ts.end_stmt()
-    ts.expect_kw("end")
-    ts.expect_kw("program")
+    body = ts.body(_parse_host_stmt, "program")
     if ts.at(TokenKind.IDENT):
         ts.next()
     return decls, body, start.pos
@@ -184,9 +208,7 @@ def _parse_declaration(ts: _Stream) -> TypeDecl:
     while ts.accept(TokenKind.COMMA):
         _parse_attr(ts, attrs)
     ts.expect(TokenKind.DCOLON, "'::'")
-    names = [ts.expect(TokenKind.IDENT, "entity name").text]
-    while ts.accept(TokenKind.COMMA):
-        names.append(ts.expect(TokenKind.IDENT, "entity name").text)
+    names = ts.list(_name, "entity name")
     return TypeDecl(base_tok.pos, base_tok.text, attrs, names)
 
 
@@ -203,38 +225,23 @@ def _parse_attr(ts: _Stream, attrs: DeclAttrs) -> None:
         attrs.concurrent = True
     elif tok.is_kw("dimension"):
         ts.next()
-        ts.expect(TokenKind.LPAREN, "'('")
-        count = 1
-        ts.expect(TokenKind.COLON, "':' (deferred shape)")
-        while ts.accept(TokenKind.COMMA):
-            ts.expect(TokenKind.COLON, "':' (deferred shape)")
-            count += 1
-        ts.expect(TokenKind.RPAREN, "')'")
-        attrs.dim_count = count
+        attrs.dim_count = _deferred_count(ts, _PARENS, "shape")
     elif tok.is_kw("codimension"):
         ts.next()
-        ts.expect(TokenKind.LBRACK, "'['")
-        count = 1
-        ts.expect(TokenKind.COLON, "':' (deferred coshape)")
-        while ts.accept(TokenKind.COMMA):
-            ts.expect(TokenKind.COLON, "':' (deferred coshape)")
-            count += 1
-        ts.expect(TokenKind.RBRACK, "']'")
-        attrs.corank = count
+        attrs.corank = _deferred_count(ts, _BRACKS, "coshape")
     elif tok.is_kw("halo"):
         ts.next()
-        attrs.halo = _parse_halo_dims(ts)
+        attrs.halo = HaloSpec(tuple(
+            ts.list(_parse_halo_dim, bracket=_PARENS)))
     else:
         raise ts.fail("expected a declaration attribute")
 
 
-def _parse_halo_dims(ts: _Stream) -> HaloSpec:
-    ts.expect(TokenKind.LPAREN, "'('")
-    dims = [_parse_halo_dim(ts)]
-    while ts.accept(TokenKind.COMMA):
-        dims.append(_parse_halo_dim(ts))
-    ts.expect(TokenKind.RPAREN, "')'")
-    return HaloSpec(tuple(dims))
+def _deferred_count(ts: _Stream, bracket: tuple, what: str) -> int:
+    """Length of a bracketed ``:,...`` list: ``dimension(:,:)`` and
+    ``codimension[:,:]``."""
+    return len(ts.list(_Stream.expect, TokenKind.COLON,
+                       f"':' (deferred {what})", bracket=bracket))
 
 
 def _parse_halo_dim(ts: _Stream) -> HaloDim:
@@ -268,11 +275,7 @@ def _parse_kernel_stmt(ts: _Stream) -> Stmt:
 
 
 def _parse_offset_ref(ts: _Stream, name_tok: Token) -> OffsetRef:
-    ts.expect(TokenKind.LPAREN, "'('")
-    offsets = [_parse_offset(ts)]
-    while ts.accept(TokenKind.COMMA):
-        offsets.append(_parse_offset(ts))
-    ts.expect(TokenKind.RPAREN, "')'")
+    offsets = ts.list(_parse_offset, bracket=_PARENS)
     return OffsetRef(name_tok.pos, name_tok.text, tuple(offsets))
 
 
@@ -351,44 +354,27 @@ def _parse_kernel_ref(ts: _Stream, name_tok: Token) -> Expr:
             return _parse_offset_ref(ts, name_tok)
         except ParseError:
             ts.i = mark
-    ts.expect(TokenKind.LPAREN, "'('")
-    args: list[Expr] = []
-    if not ts.at(TokenKind.RPAREN):
-        args.append(_parse_expr(ts, kernel=True))
-        while ts.accept(TokenKind.COMMA):
-            args.append(_parse_expr(ts, kernel=True))
-    ts.expect(TokenKind.RPAREN, "')'")
-    return Call(name_tok.pos, name_tok.text, args)
+    return _parse_function_call(ts, name_tok, True)
 
 
 def _parse_host_ref(ts: _Stream, name_tok: Token) -> Expr:
     if name_tok.text in INTRINSICS:
-        ts.expect(TokenKind.LPAREN, "'('")
-        args: list[Expr] = []
-        if not ts.at(TokenKind.RPAREN):
-            args.append(_parse_expr(ts, kernel=False))
-            while ts.accept(TokenKind.COMMA):
-                args.append(_parse_expr(ts, kernel=False))
-        ts.expect(TokenKind.RPAREN, "')'")
-        return Call(name_tok.pos, name_tok.text, args)
+        return _parse_function_call(ts, name_tok, False)
     return _parse_section(ts, name_tok, allow_cosubs=True)
 
 
+def _parse_function_call(ts: _Stream, name_tok: Token, kernel: bool) -> Call:
+    args = ts.list(_parse_expr, kernel, bracket=_PARENS, empty=True)
+    return Call(name_tok.pos, name_tok.text, args)
+
+
 def _parse_section(ts: _Stream, name_tok: Token, allow_cosubs: bool) -> SectionRef:
-    ts.expect(TokenKind.LPAREN, "'('")
-    subs: list[Expr] = [_parse_section_sub(ts)]
-    while ts.accept(TokenKind.COMMA):
-        subs.append(_parse_section_sub(ts))
-    ts.expect(TokenKind.RPAREN, "')'")
+    subs = ts.list(_parse_section_sub, bracket=_PARENS)
     cosubs = None
     if ts.at(TokenKind.LBRACK):
         if not allow_cosubs:
             raise ts.fail("coindexed reference not allowed here")
-        ts.next()
-        cosubs = [_parse_expr(ts, kernel=False)]
-        while ts.accept(TokenKind.COMMA):
-            cosubs.append(_parse_expr(ts, kernel=False))
-        ts.expect(TokenKind.RBRACK, "']'")
+        cosubs = ts.list(_parse_expr, False, bracket=_BRACKS)
     return SectionRef(name_tok.pos, name_tok.text, subs, cosubs)
 
 
@@ -440,20 +426,10 @@ def _parse_allocate(ts: _Stream) -> Allocate:
     start = ts.expect_kw("allocate")
     ts.expect(TokenKind.LPAREN, "'('")
     entity = ts.expect(TokenKind.IDENT, "entity name").text
-    bounds: list[tuple[Expr, Expr]] = []
-    if ts.at(TokenKind.LPAREN):
-        ts.next()
-        bounds.append(_parse_alloc_bound(ts))
-        while ts.accept(TokenKind.COMMA):
-            bounds.append(_parse_alloc_bound(ts))
-        ts.expect(TokenKind.RPAREN, "')'")
-    cobounds: list = []
-    if ts.at(TokenKind.LBRACK):
-        ts.next()
-        cobounds.append(_parse_cobound(ts))
-        while ts.accept(TokenKind.COMMA):
-            cobounds.append(_parse_cobound(ts))
-        ts.expect(TokenKind.RBRACK, "']'")
+    bounds = (ts.list(_parse_alloc_bound, bracket=_PARENS)
+              if ts.at(TokenKind.LPAREN) else [])
+    cobounds = (ts.list(_parse_cobound, bracket=_BRACKS)
+                if ts.at(TokenKind.LBRACK) else [])
     halo_src = None
     if ts.accept(TokenKind.COMMA):
         ts.expect_kw("halo_src")
@@ -490,36 +466,21 @@ def _parse_do_counted(ts: _Stream) -> DoCounted:
     ts.expect(TokenKind.COMMA, "','")
     hi = _parse_expr(ts, kernel=False)
     ts.end_stmt()
-    body: list[Stmt] = []
-    while not ts.at_kw("end"):
-        body.append(_parse_host_stmt(ts))
-        ts.end_stmt()
-    ts.expect_kw("end")
-    ts.expect_kw("do")
+    body = ts.body(_parse_host_stmt, "do")
     return DoCounted(start.pos, var, lo, hi, body)
 
 
 def _parse_do_concurrent(ts: _Stream) -> DoConcurrent:
     start = ts.expect_kw("do")
     ts.expect_kw("concurrent")
-    ts.expect(TokenKind.LPAREN, "'('")
-    ranges = [_parse_conc_range(ts)]
-    while ts.accept(TokenKind.COMMA):
-        ranges.append(_parse_conc_range(ts))
-    ts.expect(TokenKind.RPAREN, "')'")
+    ranges = ts.list(_parse_conc_range, bracket=_PARENS)
     ts.expect(TokenKind.DLBRACK, "'[[' execution target")
     target = ts.expect(TokenKind.IDENT, "execution-target variable").text
     ts.expect(TokenKind.DRBRACK, "']]'")
     ts.end_stmt()
     call_tok = ts.expect_kw("call")
     name = ts.expect(TokenKind.IDENT, "kernel name").text
-    ts.expect(TokenKind.LPAREN, "'('")
-    args: list = []
-    if not ts.at(TokenKind.RPAREN):
-        args.append(_parse_launch_arg(ts))
-        while ts.accept(TokenKind.COMMA):
-            args.append(_parse_launch_arg(ts))
-    ts.expect(TokenKind.RPAREN, "')'")
+    args = ts.list(_parse_launch_arg, bracket=_PARENS, empty=True)
     call = KernelCall(call_tok.pos, name, args)
     ts.end_stmt()
     ts.expect_kw("end")
@@ -549,11 +510,7 @@ def _parse_launch_arg(ts: _Stream):
 
 def _parse_element_arg(ts: _Stream) -> ElementArg:
     name_tok = ts.expect(TokenKind.IDENT, "array name")
-    ts.expect(TokenKind.LPAREN, "'('")
-    indices = [ts.expect(TokenKind.IDENT, "index variable").text]
-    while ts.accept(TokenKind.COMMA):
-        indices.append(ts.expect(TokenKind.IDENT, "index variable").text)
-    ts.expect(TokenKind.RPAREN, "')'")
+    indices = ts.list(_name, "index variable", bracket=_PARENS)
     device = None
     if ts.accept(TokenKind.LBRACK):
         device = ts.expect(TokenKind.IDENT, "device variable").text
@@ -583,12 +540,7 @@ def _parse_if(ts: _Stream) -> If:
     ts.expect(TokenKind.RPAREN, "')'")
     ts.expect_kw("then")
     ts.end_stmt()
-    body: list[Stmt] = []
-    while not ts.at_kw("end"):
-        body.append(_parse_host_stmt(ts))
-        ts.end_stmt()
-    ts.expect_kw("end")
-    ts.expect_kw("if")
+    body = ts.body(_parse_host_stmt, "if")
     return If(start.pos, cond, body)
 
 

@@ -9,7 +9,7 @@ the plan text is deterministic and diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import ast
 from .astdump import format_expr

@@ -43,12 +43,12 @@ evaluated, so no snapshot is needed.  A pending value that is still a view
 of a launched stack (a bare read such as ``V(0,0) = V(0,1)``) is copied
 before the first write-back, so aliased arguments cannot disturb it.  The
 arithmetic runs in a ``Workspace`` owned by the ``Machine``, one per
-(kernel, slab shape), whose buffers are reused by every later launch.  The
-point-at-a-time orders (forward, reverse, seeded shuffle) exist to
-demonstrate order independence; they run one image at a time and write
-back point by point, so they read from a snapshot taken at launch.  All
-orders produce bit-identical results because they run the same float64
-operation tree per element.
+(kernel, slab shape), whose buffers are reused by every later launch.  A
+``shuffle_seed`` selects the point-at-a-time order instead, which exists
+to demonstrate order independence: it runs one image at a time and writes
+back point by point in a seeded random order, so it reads from a snapshot
+taken at launch.  Both orders produce bit-identical results because they
+run the same float64 operation tree per element.
 
 Halo exchange is collective and runs once every image has reached the same
 ``halo_transfer``.  Each dimension and side is one gather along the image
@@ -82,7 +82,7 @@ from .checks import CheckResult
 from .diagnostics import ALLOC_SHAPE, GRID_FACTOR, UNALLOCATED, RuntimeFault, SourcePos
 from .grid import ProcessGrid, create_grid
 from .ir import KernelIR, StorageLayout, Workspace, lower_kernel, run_body
-from .symbols import ArrayEntity, ScalarEntity
+from .symbols import MAX_HALO_WIDTH, ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
 DEFAULT_EXTENT_2D = 32
@@ -97,16 +97,13 @@ class RunConfig:
     grid_rows: int = 1
     devices: int = 0
     steps: int = 1
-    order: str = "vector"            # vector | forward | reverse | shuffle
-    shuffle_seed: Optional[int] = None
+    shuffle_seed: Optional[int] = None   # None: vector launches
 
     def validate(self) -> None:
         if self.devices < 0:
             raise ValueError("devices must be non-negative")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
-        if self.order not in ("vector", "forward", "reverse", "shuffle"):
-            raise ValueError(f"unknown execution order {self.order!r}")
 
 
 class DistributedArray:
@@ -574,12 +571,12 @@ class Machine:
                 w_lo, w_hi = halo.lo, halo.hi
             else:
                 w_lo, w_hi = 1 - lo_v, hi_v - m_d
-                if w_lo < 0 or w_hi < 0 or w_lo > 8 or w_hi > 8:
+                if min(w_lo, w_hi) < 0 or max(w_lo, w_hi) > MAX_HALO_WIDTH:
                     raise RuntimeFault(
                         ALLOC_SHAPE,
                         f"allocate bounds {lo_v}:{hi_v} for dim {d + 1} of "
                         f"'{a.entity}' imply halo widths ({w_lo},{w_hi}) "
-                        f"outside 0..8", a.pos)
+                        f"outside 0..{MAX_HALO_WIDTH}", a.pos)
             if ent.corank > 0 and max(w_lo, w_hi) > m_d:
                 # an exchange copies each halo from the neighbour's
                 # interior, which must be at least as wide as the halo
@@ -722,10 +719,6 @@ class Machine:
                 else:
                     scalars[p] = np.int64(value)
 
-        if interior is None:
-            raise RuntimeFault(ALLOC_SHAPE,
-                               f"kernel '{a.kernel}' was launched without an "
-                               f"array argument", a.pos)
         for d, (lo, hi) in enumerate(ranges):
             if lo < 1 or hi > interior[d]:
                 raise RuntimeFault(
@@ -760,7 +753,7 @@ class Machine:
             stacks = {p: arr.device if first.on_device else arr.host
                       for p, arr in first.arrays.items()}
             layouts = {p: arr.layout for p, arr in first.arrays.items()}
-            if self.config.order != "vector":
+            if self.config.shuffle_seed is not None:
                 for launch in group:
                     buffers = {p: stack[..., launch.image - 1]
                                for p, stack in stacks.items()}
@@ -808,10 +801,7 @@ class Machine:
                           scalars) -> None:
         points = list(itertools.product(
             *[range(lo, hi + 1) for lo, hi in ranges]))
-        if self.config.order == "reverse":
-            points.reverse()
-        elif self.config.order == "shuffle":
-            random.Random(self.config.shuffle_seed).shuffle(points)
+        random.Random(self.config.shuffle_seed).shuffle(points)
         for pt in points:
             def read(name: str, offsets: tuple[int, ...]):
                 lay = layouts[name]

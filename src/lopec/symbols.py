@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .ast import HaloSpec, Program, TypeDecl
+from .ast import DeclAttrs, HaloSpec, Program, TypeDecl
 from .diagnostics import (DUPLICATE_DECL, HALO_SHAPE, RANK_CORANK, ALLOC_SHAPE,
                           Diagnostic, SourcePos, error)
 
@@ -45,7 +45,6 @@ class ArrayEntity:
     halo: Optional[HaloSpec]
     allocatable: bool
     decl_pos: SourcePos
-    alloc_state: str = "unallocated"    # runtime copies flip this
 
 
 Entity = Union[ScalarEntity, ArrayEntity]
@@ -62,12 +61,18 @@ class SymbolTable:
         return [e for e in self.entities.values() if isinstance(e, ArrayEntity)]
 
 
+def decl_rank(a: DeclAttrs) -> int:
+    """The ``dimension(:,...)`` count, else the halo dimension count."""
+    if a.dim_count is not None:
+        return a.dim_count
+    return a.halo.rank if a.halo is not None else 0
+
+
 def entity_from_decl(decl: TypeDecl, name: str) -> tuple[Entity, list[Diagnostic]]:
     """Derive one entity from a declaration; returns (entity, diagnostics)."""
     diags: list[Diagnostic] = []
     a = decl.attrs
-    rank = a.dim_count if a.dim_count is not None else (
-        a.halo.rank if a.halo is not None else 0)
+    rank = decl_rank(a)
     if a.halo is not None:
         if a.dim_count is not None and a.halo.rank != a.dim_count:
             diags.append(error(

@@ -7,6 +7,7 @@ from conftest import BAD, CORPUS, GOLDEN
 from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
 from test_runtime import DIVERGENT_HALO
+from test_sema import KERNEL_SHAPES
 
 LAP = str(CORPUS / "laplacian.lope")
 
@@ -74,6 +75,20 @@ def test_emit_plan_matches_golden(capsys):
 def test_emit_rejects_diagnostics(capsys):
     assert main(["emit", str(BAD / "impure.lope")]) == 1
     assert "error[E104]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "emit"])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_untranslatable_kernel_is_a_diagnostic(tmp_path, capsys, command,
+                                               shape):
+    text, code, line = KERNEL_SHAPES[shape]
+    src = tmp_path / "k.lope"
+    src.write_text(text)
+    assert main([command, str(src)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"{src}:{line}:")
+    assert f"error[{code}]" in out.err
 
 
 def test_emit_double_variant(capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from c_eval import parse_kernel, run_work_items
 from conftest import CORPUS, GOLDEN, compile_file, compile_source
-from lopec.codegen import CodegenError, EmitConfig, emit_kernel_source
+from lopec.codegen import EmitConfig, emit_kernel_source
 from lopec.ir import StorageLayout, lower_kernel
 from lopec.runtime import Machine, RunConfig
 
@@ -180,14 +180,3 @@ def test_random_kernels_emitted_c_equals_simulator():
         field = nrng.uniform(-1, 1, (6, 6))
         sim, cint = run_both(text, field)
         assert np.array_equal(sim, cint), text
-
-
-def test_rank_above_three_rejected():
-    from lopec.ir import KernelIR, IRAssign, Read, Const
-
-    ir = KernelIR(name="k", array_params=["u"], scalar_params=[],
-                  param_rank={"u": 4}, param_types={"u": "real"},
-                  local_scalars={}, footprints={},
-                  body=[IRAssign("u", True, Const(0.0))])
-    with pytest.raises(CodegenError):
-        emit_kernel_source(ir, EmitConfig())

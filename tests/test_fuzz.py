@@ -2,8 +2,9 @@
 
 Each mutant deletes, replaces, inserts or duplicates a few tokens of a
 corpus program.  ``lopec check`` must end every one with an exit code
-(0 ok, 1 diagnostics, 2 usage, 3 runtime fault) and never raise; a mutant
-that checks clean must do the same under ``lopec run`` on four images.
+(0 ok, 1 diagnostics, 2 usage, 3 runtime fault) and never raise.  A mutant
+that checks clean must emit its kernel C and its host plan with exit 0,
+and end ``lopec run`` on four images with an exit code too.
 """
 
 import random
@@ -49,6 +50,10 @@ def test_mutated_corpus_exits_with_a_code(tmp_path, capsys):
             assert code in (0, 1, 2, 3), src.read_text()
             codes["check"].append(code)
             if code == 0:
+                for target in ("kernel-c", "plan"):
+                    assert main(["emit", str(src), "--target", target,
+                                 "-o", str(tmp_path / "emitted")]) == 0, \
+                        src.read_text()
                 code = main(["run", str(src), "--images", "4",
                              "--grid-rows", "2", "--devices", "1",
                              "--steps", "2", "-o", str(tmp_path / "out")])

@@ -1,17 +1,12 @@
 """Scanner behaviour: token kinds, positions, continuations, errors."""
 
 import hashlib
-import random
-import sys
 
 import pytest
 
-from conftest import CORPUS_FILES, TESTS
+from conftest import stream_inputs
 from lopec.diagnostics import LexError
 from lopec.lexer import TokenKind, real_value, tokenize
-
-sys.path.insert(0, str(TESTS.parent / "perfbench"))
-import gen  # noqa: E402
 
 
 def kinds(text):
@@ -176,42 +171,17 @@ def test_illegal_character_on_a_continued_line(text, line, col, char):
 
 
 # SHA-256 of every token's (kind, text, line, col), or of the rendered E001
-# diagnostic for an input that does not lex, over ``stream_inputs()``; any
+# diagnostic for an input that does not lex, over ``stream_inputs``; any
 # change in tokens, positions or lex errors changes it
 STREAM_DIGEST = (
     "41e546af47d2492337ff183eb91300b67d54f35f635afaea4c2bf73c28ebde48")
 MUTANTS = 400
-# characters and fragments that stress continuations, comments, line ends,
-# strings, numbers and illegal input
-EDITS = list("&&&\n\n\r\t !$#\".0123456789eEdDxU_()[]:,=+-*/<>") + [
-    "&\n", " & ! note\n  & ", "\r\n", "[[", "]]", "::", "==", "/=",
-    "1.5d-3", "& x", "!"]
-
-
-def stream_inputs() -> list[str]:
-    texts = ([p.read_text() for p in CORPUS_FILES]
-             + [g.text for g in gen.generate(seed=11)])
-    rng = random.Random(2015)
-    mutants = []
-    for _ in range(MUTANTS):
-        chars = list(rng.choice(texts))
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randrange(len(chars))
-            op = rng.choice(("delete", "insert", "replace"))
-            if op == "delete":
-                del chars[i]
-            elif op == "insert":
-                chars.insert(i, rng.choice(EDITS))
-            else:
-                chars[i] = rng.choice(EDITS)
-        mutants.append("".join(chars))
-    return texts + mutants
 
 
 def test_token_streams_match_the_pinned_digest():
     digest = hashlib.sha256()
     failed = 0
-    for k, text in enumerate(stream_inputs()):
+    for k, text in enumerate(stream_inputs(MUTANTS)):
         try:
             record = [(t.kind.name, t.text, t.pos.line, t.pos.col)
                       for t in tokenize(text, f"in{k}.lope")]

@@ -5,12 +5,14 @@ the input, the outcome must be a program or a list of positioned
 diagnostics, never an internal exception.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, stream_inputs
 from lopec import ast
+from lopec.astdump import dump_ast
 from lopec.parser import parse_source
 
 MINIMAL = """\
@@ -237,3 +239,27 @@ def test_fuzz_random_soup_never_crashes():
                        for _ in range(rng.randrange(0, 160)))
         program, diags = parse_source(text, "soup.lope")
         assert program is not None or diags
+
+
+# SHA-256 of every input's AST term dump, or of its rendered lex or parse
+# error, over ``stream_inputs``; any change in the trees the parser builds,
+# their positions, or its error messages changes it
+PARSE_DIGEST = (
+    "654d4b7e7631886f5336f950775a0d209d71aa69ddde133443882492762f9ac2")
+MUTANTS = 1000
+
+
+def test_parse_outcomes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    failed = 0
+    for k, text in enumerate(stream_inputs(MUTANTS)):
+        program, diags = parse_source(text, f"in{k}.lope")
+        if program is None:
+            record = [d.render() for d in diags]
+            failed += 1
+        else:
+            record = dump_ast(program)
+        digest.update(repr(record).encode())
+    # both outcomes are covered
+    assert 0 < failed < MUTANTS
+    assert digest.hexdigest() == PARSE_DIGEST

@@ -101,6 +101,48 @@ end program main
     assert codes(text) == ["E106"]
 
 
+def kernel_only(params, decls, body):
+    """One kernel the host program never launches."""
+    return f"""\
+pure concurrent subroutine k({params})
+{decls}
+{body}
+end subroutine k
+
+program main
+  integer :: t
+  t = 1
+end program main
+"""
+
+
+# Kernel signatures the translator has no form for, each with the one
+# diagnostic it gets: (source, code, line)
+KERNEL_SHAPES = {
+    "no-array": (kernel_only("S", "  real :: S", "  S = 1.0"), "E104", 1),
+    "mixed-rank": (kernel_only(
+        "U, V", "  real, dimension(:), HALO(1:*:1) :: U\n"
+                "  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: V",
+        "  U(0) = V(0,0)"), "E012", 3),
+    "rank-4": (kernel_only(
+        "U", "  real, dimension(:,:,:,:), "
+             "HALO(1:*:1, 1:*:1, 1:*:1, 1:*:1) :: U",
+        "  U(0,0,0,0) = U(1,0,0,0)"), "E012", 2),
+    "integer-array": (kernel_only(
+        "U", "  integer, dimension(:,:), HALO(1:*:1, 1:*:1) :: U",
+        "  U(0,0) = U(1,0)"), "E104", 2),
+}
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_kernel_signature_rule_reports_its_code_on_its_line(shape):
+    text, code, line = KERNEL_SHAPES[shape]
+    out = diagnostics_of(text, name="k.lope")
+    assert len(out) == 1, out
+    assert out[0].startswith(f"k.lope:{line}:"), out
+    assert f"error[{code}]" in out[0]
+
+
 def test_undeclared_kernel_param():
     text = template("  U(0,0) = U(0,0)", params="U, w")
     # w never declared inside the kernel
