@@ -4,8 +4,9 @@ The pipeline is: :mod:`lopec.lexer` / :mod:`lopec.parser` build the AST
 (:mod:`lopec.ast`), :mod:`lopec.checks` enforces the static race-freedom
 rules, :mod:`lopec.ir` lowers kernels to a stencil IR with an explicit
 column-major storage mapping, :mod:`lopec.codegen` prints C kernel source,
-:mod:`lopec.plan` desugars the host program, and :mod:`lopec.runtime`
-simulates P images with halo exchange and device mirrors.
+:mod:`lopec.plan` prints the host program as an action plan, and
+:mod:`lopec.runtime` runs the checked host program on P simulated images
+with halo exchange and device mirrors.
 """
 
 from .checks import CheckResult, check_program

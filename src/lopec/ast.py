@@ -8,8 +8,9 @@ layout.  Identifier fields hold the lexer-normalized (lowercase) spelling.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .diagnostics import SourcePos
 
@@ -165,6 +166,14 @@ class Allocate(Node):
     halo_src: Optional[str] = None
     target: Optional[str] = None          # [[dev]] execution target
 
+    @property
+    def device(self) -> Optional[str]:
+        """The device of the mirror form ``allocate(U[dev], ...)``: the
+        name when the only cobound is a name, else None."""
+        if len(self.cobounds) == 1 and isinstance(self.cobounds[0], Ident):
+            return self.cobounds[0].name
+        return None
+
 
 @dataclass
 class Deallocate(Node):
@@ -242,20 +251,12 @@ class Program(Node):
     body: list[Stmt]
 
 
-def walk_expr(e: Expr):
-    """Yield e and all sub-expressions, preorder."""
-    yield e
-    if isinstance(e, Bin) or isinstance(e, Cmp):
-        yield from walk_expr(e.left)
-        yield from walk_expr(e.right)
-    elif isinstance(e, Neg):
-        yield from walk_expr(e.operand)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from walk_expr(a)
-    elif isinstance(e, SectionRef):
-        for s in e.subs:
-            yield from walk_expr(s)
-        if e.cosubs is not None:
-            for c in e.cosubs:
-                yield from walk_expr(c)
+def walk(node) -> Iterator:
+    """``node`` and everything inside it, preorder: nodes, lists, tuples."""
+    yield node
+    if isinstance(node, (list, tuple)):
+        for x in node:
+            yield from walk(x)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from walk(getattr(node, f.name))

@@ -14,7 +14,8 @@ Kernels are checked for the communication-avoiding discipline:
 
 Each kernel's read *footprint* (max offset per direction per dimension) is
 computed here and compared against declared halo widths at every launch site
-(E102).  Host code is checked for coarray/halo consistency (E105-E108) and
+(E102); a launched array must be ``real`` like the parameter it binds
+(E104).  Host code is checked for coarray/halo consistency (E105-E108) and
 undeclared identifiers (E011).
 
 ``check_program`` bundles the whole pipeline: symbol table, kernel checks,
@@ -498,13 +499,11 @@ class _HostChecker:
             self.err(MISSING_HALO, s.pos,
                      f"device mirrors are for coarrays; '{s.entity}' has no "
                      f"codimension")
-        if len(s.cobounds) != 1 or s.cobounds[0] == "*" or not isinstance(
-                s.cobounds[0], ast.Ident):
+        device = s.device
+        if device is None:
             self.err(DEVICE_NOT_SUBIMAGE, s.pos,
                      "device allocation selects its target as U[device]")
-            device = None
         else:
-            device = s.cobounds[0].name
             self.device_var(device, s.pos, "allocation device")
         if s.halo_src is None:
             self.err(ALLOC_SHAPE, s.pos,
@@ -570,6 +569,10 @@ class _HostChecker:
                      f"kernel '{s.call.name}' expects rank {rank} but "
                      f"'{a.array}' has rank {ent.rank}")
             return
+        if ent.elem_type != "real":
+            self.err(IMPURE_KERNEL, a.pos,
+                     f"launched array '{a.array}' is {ent.elem_type}; kernel "
+                     f"arrays must be real")
         if ent.corank != ent.rank:
             self.err(ALLOC_SHAPE, a.pos,
                      f"launched array '{a.array}' must be a coarray "

@@ -5,16 +5,17 @@ Subcommands:
 * ``check`` — compile a source file and report diagnostics.
 * ``ast``   — print the abstract syntax tree as a deterministic term dump.
 * ``emit``  — print generated kernel source (``--target kernel-c``) or the
-  desugared host plan (``--target plan``).
+  host plan (``--target plan``).
 * ``run``   — simulate the program on P images and write the final field.
 
-Exit codes: 0 success, 1 compile diagnostics, 2 usage or I/O problem,
-3 runtime fault.
+Exit codes: 0 success, 1 compile diagnostics, 2 usage or I/O problem
+(including a standard output closed by its reader), 3 runtime fault.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -204,10 +205,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.steps < 0:
             return _usage_error("--steps must be non-negative")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at the null device
+        # so that the flush at interpreter exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage_error("standard output was closed")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """SPMD execution simulator.
 
-P images run the same desugared host plan over an MP x NP process grid.
-Each coarray is one stack of the per-image blocks (interior ``m x n`` plus
-halo padding) along a trailing image axis: a column-major array of shape
-``padded + (P,)``.  Image k's block ``stack[..., k-1]`` is contiguous and
-has the linearization the emitted C uses.
+P images run the same checked main-program statements, as they stand in
+the AST, over an MP x NP process grid.  Each coarray is one stack of the
+per-image blocks (interior ``m x n`` plus halo padding) along a trailing
+image axis: a column-major array of shape ``padded + (P,)``.  Image k's
+block ``stack[..., k-1]`` is contiguous and has the linearization the
+emitted C uses.
 
 Device subimages are simulated by a second stack of the same shape,
 allocated when the first image creates a mirror.  ``get_subimage`` returns
@@ -19,13 +20,13 @@ list of per-image tuples each time it is read.
 Images are generators advanced round-robin.  Each one stops at the next
 collective (``halo_transfer``, coarray ``allocate`` and ``deallocate``) and
 at every kernel launch, whose ranges, scalars and target it evaluates and
-checks on arrival.  Each launch action keeps its last evaluation for the
-run, keyed on the exact values (type and bits) of the names its ranges and
+checks on arrival.  Each launch statement keeps its last evaluation,
+keyed on the exact values (type and bits) of the names its ranges and
 scalars read and on whether it targets a device.  An image that finds the
 same key reuses those ranges and scalars, and only looks up its target and
 checks its own array arguments; arguments that call ``this_image()`` or
 read an array element are evaluated on every image.  Once every image has
-stopped, the launches that share an action, ranges, scalars and target run
+stopped, the launches that share a statement, ranges, scalars and target run
 as one ``run_body`` call over ``(range..., images)`` slabs: the paper's
 model, where every image applies the same kernel to its own block, in one
 step instead of P.  A stacked slab holds at most ``STACK_CELLS`` cells, so
@@ -66,7 +67,6 @@ no grid, no halo machinery — so distributed runs can be checked against it.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -77,7 +77,6 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import ast
-from . import plan as hostplan
 from .checks import CheckResult
 from .diagnostics import ALLOC_SHAPE, GRID_FACTOR, UNALLOCATED, RuntimeFault, SourcePos
 from .grid import ProcessGrid, create_grid
@@ -153,7 +152,7 @@ class DistributedArray:
 
 
 class Machine:
-    """Builds the grid and images for a checked program and runs its plan."""
+    """Builds the grid and images for a checked program and runs it."""
 
     def __init__(self, check: CheckResult, config: RunConfig,
                  input_field: Optional[np.ndarray] = None):
@@ -188,7 +187,7 @@ class Machine:
         self.arrays: dict[str, DistributedArray] = {}
         # event tuples and _PerImage records; read through ``events``
         self._log: list = []
-        # id(LaunchConcurrent) -> its one-entry cache, for one ``run``
+        # id(DoConcurrent) -> its one-entry cache
         self._launch_cache: dict[int, _LaunchCache] = {}
         # vector-launch scratch, one per (kernel name, slab shape)
         self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
@@ -384,7 +383,7 @@ class Machine:
             idx.append(coord)
         return tuple(idx)
 
-    # -- plan execution ----------------------------------------------------
+    # -- host program execution --------------------------------------------
 
     def run(self) -> None:
         """Execute the whole program.
@@ -392,13 +391,11 @@ class Machine:
         Images advance round-robin to their next collective or launch.
         The launches collected in a pass run together; a collective runs
         once every image waits at it."""
-        actions = hostplan.desugar(self.program).actions
-        # desugar builds new actions, whose ids may repeat old ones
-        self._launch_cache.clear()
+        body = self.program.body
         # A coindexed read can see how far another image has run, so
         # launches then stay in the exact round-robin order.
-        self._inline_launches = _reads_remote(actions)
-        gens = {k: self._exec(actions, k) for k in self.images}
+        self._inline_launches = _reads_remote(body)
+        gens = {k: self._exec(body, k) for k in self.images}
         finished: set[int] = set()
         waiting: dict[int, tuple] = {}      # image -> its collective request
         while len(finished) < len(self.images):
@@ -425,72 +422,70 @@ class Machine:
                 raise RuntimeFault(
                     UNALLOCATED,
                     "images diverged at a collective operation")
-            kind, name, action = next(iter(waiting.values()))
+            kind, name, s = next(iter(waiting.values()))
             waiting.clear()
             if kind == "halo":
-                self._halo_exchange(name, action.pos)
+                self._halo_exchange(name, s.pos)
             elif kind == "alloc":
-                self._alloc_host(action)
+                self._alloc_host(s)
             else:
-                self._dealloc(action)
+                self._dealloc(s)
 
-    def _exec(self, actions: list, k: int):
-        for a in actions:
-            if isinstance(a, hostplan.HaloTransfer):
+    def _exec(self, stmts: list[ast.Stmt], k: int):
+        for s in stmts:
+            if isinstance(s, ast.HaloTransfer):
                 self.counters[k]["halo_transfers"] += 1
-                yield ("halo", a.array, a)
-            elif isinstance(a, hostplan.AllocCoarray):
+                yield ("halo", s.array, s)
+            elif isinstance(s, ast.Allocate) and s.bounds:
                 # allocating a coarray synchronizes all images
-                yield ("alloc", a.entity, a)
-            elif isinstance(a, hostplan.Deallocate):
-                yield ("dealloc", a.entity, a)
-            elif isinstance(a, hostplan.LaunchConcurrent):
-                launch = self._prepare_launch(a, k)
+                yield ("alloc", s.entity, s)
+            elif isinstance(s, ast.Deallocate):
+                yield ("dealloc", s.entity, s)
+            elif isinstance(s, ast.DoConcurrent):
+                launch = self._prepare_launch(s, k)
                 if launch is None:
                     continue
                 if self._inline_launches:
                     self._run_launches([launch])
                 else:
-                    yield ("launch", a.kernel, launch)
-            elif isinstance(a, hostplan.LoopCounted):
-                lo = self._int(a.lo, k, "loop bound")
-                hi = self._int(a.hi, k, "loop bound")
+                    yield ("launch", s.call.name, launch)
+            elif isinstance(s, ast.DoCounted):
+                lo = self._int(s.lo, k, "loop bound")
+                hi = self._int(s.hi, k, "loop bound")
                 for v in range(lo, hi + 1):
-                    self.env[k][a.var] = v
-                    yield from self._exec(a.body, k)
-            elif isinstance(a, hostplan.CondGroup):
-                if self.eval(a.cond, k) is True:
-                    yield from self._exec(a.body, k)
+                    self.env[k][s.var] = v
+                    yield from self._exec(s.body, k)
+            elif isinstance(s, ast.If):
+                if self.eval(s.cond, k) is True:
+                    yield from self._exec(s.body, k)
             else:
-                self._do(a, k)
+                self._do(s, k)
 
-    def _do(self, a, k: int) -> None:
-        if isinstance(a, hostplan.GridSetup):
+    def _do(self, s: ast.Stmt, k: int) -> None:
+        if isinstance(s, ast.AssignSubimage):
+            self.env[k][s.var] = self._subimage_handle(s.image, k)
             return
-        if isinstance(a, hostplan.GetSubimage):
-            self.env[k][a.var] = self._subimage_handle(a.image, k)
-            return
-        if isinstance(a, hostplan.ScalarAssign):
-            value = self.eval(a.expr, k)
-            ent = self.check.symtab.lookup(a.var)
+        if isinstance(s, ast.Assign) and isinstance(s.lhs, ast.Ident):
+            value = self.eval(s.rhs, k)
+            ent = self.check.symtab.lookup(s.lhs.name)
             if isinstance(ent, ScalarEntity) and ent.elem_type == "real":
                 value = float(value)
             elif isinstance(value, float):
                 value = int(value)
-            self.env[k][a.var] = value
+            self.env[k][s.lhs.name] = value
             return
-        if isinstance(a, hostplan.DeviceAllocFrom):
-            self._alloc_device(a, k)
+        if isinstance(s, ast.Allocate):
+            self._alloc_device(s, k)
             return
-        if isinstance(a, hostplan.MirrorCopy):
-            self._mirror_copy(a, k)
+        if isinstance(s, ast.MirrorAssign):
+            self._mirror_copy(s, k)
             return
-        if isinstance(a, hostplan.SectionCopy):
-            self._section_copy(a, k)
+        if isinstance(s, ast.Assign):
+            self._section_copy(s, k)
             return
-        raise TypeError(type(a).__name__)  # pragma: no cover
+        raise TypeError(type(s).__name__)  # pragma: no cover
 
-    def _dealloc(self, a: hostplan.Deallocate) -> None:
+    def _dealloc(self, a: ast.Deallocate) -> None:
         # collective: image 1 stands for every image
         arr = self._live_array(a.entity, 1, a.pos)
         self._require_allocated(arr, 1, a.pos)
@@ -514,7 +509,7 @@ class Machine:
     def _block_interior(self) -> tuple[int, ...]:
         return (self.m,) if self.rank == 1 else (self.m, self.n)
 
-    def _alloc_host(self, a: hostplan.AllocCoarray) -> None:
+    def _alloc_host(self, a: ast.Allocate) -> None:
         """Allocate a block on every image (allocation is collective)."""
         ent = self.check.symtab.lookup(a.entity)
         assert isinstance(ent, ArrayEntity)
@@ -541,7 +536,7 @@ class Machine:
                 and self.input_field is not None):
             self._scatter(arr)
 
-    def _block_layout(self, a: hostplan.AllocCoarray, ent: ArrayEntity,
+    def _block_layout(self, a: ast.Allocate, ent: ArrayEntity,
                       k: int) -> StorageLayout:
         interior = (self._block_interior() if ent.corank > 0
                     else None)
@@ -609,17 +604,17 @@ class Machine:
     def _scatter(self, arr: DistributedArray) -> None:
         self._blocks(arr)[...] = self._tiles(self.input_field)
 
-    def _alloc_device(self, a: hostplan.DeviceAllocFrom, k: int) -> None:
+    def _alloc_device(self, a: ast.Allocate, k: int) -> None:
         handle = self._device_handle(a.device, k, a.pos)
         if handle == k:
             return      # fallback handle: no device, nothing to mirror
-        arr = self._live_array(a.array, k, a.pos)
+        arr = self._live_array(a.entity, k, a.pos)
         self._require_allocated(arr, k, a.pos)
         arr.add_mirror(k)
         self.counters[k]["h2d"] += 1
-        self._log.append(("device_alloc", k, a.array))
+        self._log.append(("device_alloc", k, a.entity))
 
-    def _mirror_copy(self, a: hostplan.MirrorCopy, k: int) -> None:
+    def _mirror_copy(self, a: ast.MirrorAssign, k: int) -> None:
         arr = self._live_array(a.array, k, a.pos)
         self._require_allocated(arr, k, a.pos)
         handle = self._device_handle(a.device, k, a.pos)
@@ -640,19 +635,19 @@ class Machine:
 
     # -- section copies ----------------------------------------------------
 
-    def _section_copy(self, a: hostplan.SectionCopy, k: int) -> None:
-        arr = self._live_array(a.dst.array, k, a.pos)
+    def _section_copy(self, a: ast.Assign, k: int) -> None:
+        arr = self._live_array(a.lhs.array, k, a.pos)
         self._require_allocated(arr, k, a.pos)
-        dst_idx = self._section_index(a.dst, arr, k)
-        if isinstance(a.src, ast.SectionRef):
-            src_arr = self._live_array(a.src.array, k, a.pos)
-            owner = (self._resolve_image(a.src.cosubs, k)
-                     if a.src.cosubs else k)
+        dst_idx = self._section_index(a.lhs, arr, k)
+        if isinstance(a.rhs, ast.SectionRef):
+            src_arr = self._live_array(a.rhs.array, k, a.pos)
+            owner = (self._resolve_image(a.rhs.cosubs, k)
+                     if a.rhs.cosubs else k)
             self._require_allocated(src_arr, owner, a.pos)
-            src_idx = self._section_index(a.src, src_arr, k)
+            src_idx = self._section_index(a.rhs, src_arr, k)
             value = src_arr.view(owner)[src_idx].copy()
         else:
-            value = self.eval(a.src, k)
+            value = self.eval(a.rhs, k)
         try:
             arr.view(k)[dst_idx] = value
         except ValueError:
@@ -661,17 +656,17 @@ class Machine:
 
     # -- launches ----------------------------------------------------------
 
-    def _prepare_launch(self, a: hostplan.LaunchConcurrent,
+    def _prepare_launch(self, a: ast.DoConcurrent,
                         k: int) -> Optional[_Launch]:
         """Check image k's launch and count it; None when a range is empty.
 
-        The ranges and scalars are evaluated unless the action's cache
+        The ranges and scalars are evaluated unless the launch's cache
         holds them for the values image k's names have now."""
         handle = self._device_handle(a.target, k, a.pos)
         on_device = handle != k
         cache = self._launch_cache.get(id(a))
         if cache is None:
-            params = self.check.kernels[a.kernel].kernel.params
+            params = self.check.kernels[a.call.name].kernel.params
             cache = self._launch_cache[id(a)] = _LaunchCache(a, params)
         key = cache.key_for(self.env[k], on_device)
         if key is not None and key == cache.key:
@@ -685,17 +680,17 @@ class Machine:
         self.counters[k]["launches"] += 1
         if on_device:
             self.counters[k]["device_launches"] += 1
-        self._log.append(("launch", k, a.kernel, on_device))
+        self._log.append(("launch", k, a.call.name, on_device))
         if entry is None:
             return None
         return _Launch(k, entry.key, entry.kernel, entry.ranges, entry.arrays,
                        on_device, entry.scalars)
 
-    def _evaluate_launch(self, a: hostplan.LaunchConcurrent, k: int,
+    def _evaluate_launch(self, a: ast.DoConcurrent, k: int,
                          on_device: bool) -> Optional[_Launch]:
         """Evaluate and check image k's ranges, scalars and arrays; None
         when a range is empty."""
-        kir = self.kernels[a.kernel]
+        kir = self.kernels[a.call.name]
         ranges = []
         interior = None
         for r in a.ranges:
@@ -705,8 +700,8 @@ class Machine:
 
         arrays: dict[str, DistributedArray] = {}
         scalars: dict[str, object] = {}
-        kernel_params = self.check.kernels[a.kernel].kernel.params
-        for p, arg in zip(kernel_params, a.args):
+        kernel_params = self.check.kernels[a.call.name].kernel.params
+        for p, arg in zip(kernel_params, a.call.args):
             if isinstance(arg, ast.ElementArg):
                 arr = self._launch_array(arg.array, k, on_device, a.pos)
                 arrays[p] = arr
@@ -727,7 +722,7 @@ class Machine:
                     f"1:{interior[d]} in dim {d + 1}", a.pos)
         if any(lo > hi for lo, hi in ranges):
             return None
-        # The action fixes the kernel, its arrays and the scalar types.
+        # The statement fixes the kernel, its arrays and the scalar types.
         # Scalars compare by their bits: 0.0 and -0.0 launch apart.
         key = (id(a), on_device, tuple(ranges),
                tuple(v.tobytes() for v in scalars.values()))
@@ -928,18 +923,18 @@ def _value_key(v) -> tuple:
 
 
 class _LaunchCache:
-    """One launch action's last evaluation, reused by every image whose
-    names read by the action's ranges and scalars hold the same values.
+    """One launch statement's last evaluation, reused by every image whose
+    names read by its ranges and scalars hold the same values.
 
     ``entry`` is the ``_Launch`` evaluated for ``key`` (None for an empty
     range); its ranges and scalars are shared between images, so nothing
     may change them."""
 
-    def __init__(self, a: hostplan.LaunchConcurrent, params: list[str]):
+    def __init__(self, a: ast.DoConcurrent, params: list[str]):
         exprs = [e for r in a.ranges for e in (r.lo, r.hi)]
-        exprs += [arg for _, arg in zip(params, a.args)
+        exprs += [arg for _, arg in zip(params, a.call.args)
                   if not isinstance(arg, ast.ElementArg)]
-        nodes = list(_walk(exprs))
+        nodes = list(ast.walk(exprs))
         # these can differ between images whose names are equal
         per_image = any(isinstance(n, ast.SectionRef)
                         or (isinstance(n, ast.Call) and n.name == "this_image")
@@ -947,14 +942,14 @@ class _LaunchCache:
         self.names = (None if per_image else
                       tuple(sorted({n.name for n in nodes
                                     if isinstance(n, ast.Ident)})))
-        self.array_args = [arg.array for _, arg in zip(params, a.args)
+        self.array_args = [arg.array for _, arg in zip(params, a.call.args)
                            if isinstance(arg, ast.ElementArg)]
         self.key: Optional[tuple] = None
         self.entry: Optional[_Launch] = None
 
     def key_for(self, env: dict, on_device: bool) -> Optional[tuple]:
         """The cache key of an image with names ``env``; None when the
-        action is evaluated on every image."""
+        launch is evaluated on every image."""
         if self.names is None:
             return None
         return (on_device,) + tuple(_value_key(env.get(n, _UNSET))
@@ -990,21 +985,10 @@ def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     yield slice(start - 1, prev)
 
 
-def _walk(node) -> Iterator:
-    """``node`` and everything inside it: actions, AST nodes, lists."""
-    yield node
-    if isinstance(node, (list, tuple)):
-        for x in node:
-            yield from _walk(x)
-    elif dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            yield from _walk(getattr(node, f.name))
-
-
 def _reads_remote(node) -> bool:
-    """Whether a plan fragment reads an array through a cosubscript."""
+    """Whether a program fragment reads an array through a cosubscript."""
     return any(isinstance(n, ast.SectionRef) and n.cosubs
-               for n in _walk(node))
+               for n in ast.walk(node))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Command-line interface: subcommands, exit codes, and stream discipline."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lopec
 from conftest import BAD, CORPUS, GOLDEN
 from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
 from test_runtime import DIVERGENT_HALO
-from test_sema import KERNEL_SHAPES
+from test_sema import INTEGER_LAPLACIAN, KERNEL_SHAPES
 
 LAP = str(CORPUS / "laplacian.lope")
 
@@ -214,3 +220,33 @@ def test_run_malformed_input_file(tmp_path, capsys):
 def test_run_compile_errors_exit_1(capsys):
     assert main(["run", str(BAD / "halo_exceeded.lope")]) == 1
     assert "error[E102]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_integer_launched_array_is_a_diagnostic(tmp_path, capsys, command):
+    src = tmp_path / "lap.lope"
+    src.write_text(INTEGER_LAPLACIAN)
+    assert main([command, str(src)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error[E104]" in out.err
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    field = tmp_path / "in.txt"
+    write_array_file(str(field),
+                     np.random.default_rng(3).standard_normal((256, 256)))
+    assert field.stat().st_size > 1 << 20
+    src_dir = pathlib.Path(lopec.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lopec", "run", LAP, "--images", "2",
+         "--input", str(field)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"256 256\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

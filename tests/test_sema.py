@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import BAD, compile_source, diagnostics_of
+from conftest import BAD, CORPUS, compile_source, diagnostics_of
 from lopec import ast
 from lopec.checks import check_program
 from lopec.parser import parse_source
@@ -336,7 +336,7 @@ def footprint_oracle(kernel):
             hi[d] = max(hi[d], o)
 
     for stmt in kernel.body:
-        for node in ast.walk_expr(stmt.rhs):
+        for node in ast.walk(stmt.rhs):
             if isinstance(node, ast.OffsetRef):
                 note(node.array, node.offsets)
     out = {}
@@ -418,3 +418,29 @@ def test_bad_corpus_single_expected_code(path):
     assert program is not None
     result = check_program(program)
     assert [d.code for d in result.diagnostics] == [expected]
+
+
+# The one launch of corpus/laplacian.lope binds its real kernel parameter to
+# a coarray declared integer.
+INTEGER_LAPLACIAN = (CORPUS / "laplacian.lope").read_text().replace(
+    "  real, allocatable,", "  integer, allocatable,")
+
+
+def test_launched_array_must_be_real():
+    line = next(i for i, text in
+                enumerate(INTEGER_LAPLACIAN.splitlines(), 1)
+                if "call Laplacian" in text)
+    out = diagnostics_of(INTEGER_LAPLACIAN, name="lap.lope")
+    assert len(out) == 1, out
+    assert out[0].startswith(f"lap.lope:{line}:"), out
+    assert "error[E104]" in out[0]
+
+
+@pytest.mark.parametrize("cobounds", ["1", "device, device", "*"])
+def test_mirror_allocation_names_one_device(cobounds):
+    text = template("  U(0,0) = U(0,0)", extra_host=(
+        f"  allocate(U[{cobounds}], HALO_SRC=U) [[device]]\n"))
+    out = diagnostics_of(text)
+    assert len(out) == 1, out
+    assert out[0].endswith(
+        "error[E107]: device allocation selects its target as U[device]")
