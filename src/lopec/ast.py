@@ -8,7 +8,6 @@ layout.  Identifier fields hold the lexer-normalized (lowercase) spelling.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -252,11 +251,14 @@ class Program(Node):
 
 
 def walk(node) -> Iterator:
-    """``node`` and everything inside it, preorder: nodes, lists, tuples."""
-    yield node
-    if isinstance(node, (list, tuple)):
-        for x in node:
-            yield from walk(x)
-    elif dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            yield from walk(getattr(node, f.name))
+    """``node`` and everything inside it but source positions, preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (list, tuple)):
+            stack.extend(reversed(node))
+        else:
+            names = getattr(type(node), "__dataclass_fields__", ())
+            stack.extend([getattr(node, n) for n in reversed(names)
+                          if n != "pos"])

@@ -7,7 +7,7 @@ Kernels are checked for the communication-avoiding discipline:
 * once an array has been stored to, later statements may not read it at a
   non-zero offset (E103) — halo cells would then be stale;
 * kernels reference nothing but their parameters, local scalars, and the
-  whitelisted intrinsics ``abs, min, max, sqrt`` (E104);
+  intrinsics ``abs, min, max, sqrt`` at their ``ARITY`` (E104);
 * a kernel has at least one array parameter, and its array parameters are
   all ``real`` (E104) and share one rank of at most 3 (E012), the only
   signatures the C emitter and the runtime translate.
@@ -15,8 +15,8 @@ Kernels are checked for the communication-avoiding discipline:
 Each kernel's read *footprint* (max offset per direction per dimension) is
 computed here and compared against declared halo widths at every launch site
 (E102); a launched array must be ``real`` like the parameter it binds
-(E104).  Host code is checked for coarray/halo consistency (E105-E108) and
-undeclared identifiers (E011).
+(E104).  Host code is checked for coarray/halo consistency and intrinsic
+arity (E105-E108) and undeclared identifiers (E011).
 
 ``check_program`` bundles the whole pipeline: symbol table, kernel checks,
 host checks; diagnostics come back sorted by source position.
@@ -37,6 +37,19 @@ from .symbols import (ArrayEntity, ScalarEntity, SymbolTable,
                       build_symbol_table, decl_rank)
 
 MAX_KERNEL_RANK = 3
+# intrinsic -> the fewest and most arguments it takes, and that rule
+ARITY = {"abs": (1, 1, "1 argument"), "sqrt": (1, 1, "1 argument"),
+         "min": (2, float("inf"), "2 or more arguments"),
+         "max": (2, float("inf"), "2 or more arguments"),
+         "this_image": (0, 0, "no arguments")}
+
+
+def check_arity(e: ast.Call, code: str) -> list[Diagnostic]:
+    """A diagnostic when an intrinsic call has a wrong argument count."""
+    fewest, most, rule = ARITY[e.name]
+    if fewest <= len(e.args) <= most:
+        return []
+    return [error(code, e.pos, f"'{e.name}' takes {rule}, got {len(e.args)}")]
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,8 @@ def check_kernel(kernel: ast.KernelDef):
                     IMPURE_KERNEL, e.pos,
                     f"call to '{e.name}' is not allowed in a kernel (only "
                     f"{', '.join(sorted(KERNEL_INTRINSICS))})"))
+            else:
+                diags.extend(check_arity(e, IMPURE_KERNEL))
             for a in e.args:
                 read_expr(a)
             return
@@ -359,6 +374,8 @@ class _HostChecker:
         if isinstance(e, ast.Call):
             if e.name not in HOST_INTRINSICS:
                 self.err(UNDECLARED, e.pos, f"unknown function '{e.name}'")
+            else:
+                self.diags.extend(check_arity(e, ALLOC_SHAPE))
             for a in e.args:
                 self.expr(a)
             return

@@ -19,6 +19,7 @@ most 3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .ir import (Add, Const, Div, IntrinsicCall, IRExpr, KernelIR, Mul, Neg,
@@ -137,6 +138,8 @@ class _Emitter:
         if isinstance(e, Neg):
             return f"-{self.expr(e.operand, 3)}"
         if isinstance(e, IntrinsicCall):
-            args = ", ".join(self.expr(a, 0) for a in e.args)
-            return f"{_INTRINSIC_C[e.fn]}({args})"
+            fn, args = _INTRINSIC_C[e.fn], [self.expr(a, 0) for a in e.args]
+            # fmin and fmax take two arguments: fold left, as the runtime
+            return (f"{fn}({args[0]})" if len(args) == 1 else
+                    functools.reduce(lambda x, y: f"{fn}({x}, {y})", args))
         raise TypeError(type(e).__name__)  # pragma: no cover

@@ -8,6 +8,9 @@ vocabulary, one action per statement: an ``allocate`` with bounds is
 to a name is ``ScalarAssign``.  Conditionals print as guarded groups and
 counted loops as loop groups, with two-space indentation and braces, so the
 plan text is deterministic and diffable.
+
+``variant_statements`` and ``split_point`` are the divergence analysis by
+which the runtime steps the program once for many images.
 """
 
 from __future__ import annotations
@@ -81,3 +84,69 @@ def _format_action(s: ast.Stmt) -> str:
     if isinstance(s, ast.Deallocate):
         return f"Deallocate({s.entity})"
     raise TypeError(type(s).__name__)  # pragma: no cover
+
+
+def governing(s: ast.Stmt) -> list[ast.Expr]:
+    """The expressions whose values decide what ``s`` does on an image."""
+    if isinstance(s, ast.If):
+        return [s.cond]
+    if isinstance(s, ast.DoCounted):
+        return [s.lo, s.hi]
+    if isinstance(s, ast.Assign) and isinstance(s.lhs, ast.Ident):
+        return [s.rhs]
+    if isinstance(s, ast.DoConcurrent):
+        return ([e for r in s.ranges for e in (r.lo, r.hi)]
+                + [a for a in s.call.args if not isinstance(a, ast.ElementArg)])
+    if isinstance(s, ast.Allocate):
+        return [e for bound in s.bounds for e in bound]
+    return []
+
+
+def variant_statements(body: list[ast.Stmt]) -> set[int]:
+    """The ids of the statements whose governing expressions are variant,
+    that is, may differ between images; subimage handles count too.  An
+    expression is variant when it calls ``this_image()`` or reads
+    ``pcol``, ``prow``, an array element or a variant name.  A name is
+    variant when a variant statement, or one under a variant ``if`` or
+    loop, assigns it; names are followed to a fixed point."""
+    names = {"pcol", "prow", "this_image"}
+    variant: set[int] = set()
+
+    def visit(stmts: list[ast.Stmt], masked: bool) -> None:
+        for s in stmts:
+            if isinstance(s, ast.AssignSubimage) or any(
+                    isinstance(n, ast.SectionRef)
+                    or isinstance(n, (ast.Ident, ast.Call)) and n.name in names
+                    for n in ast.walk(governing(s))):
+                variant.add(id(s))
+            differs = masked or id(s) in variant
+            if differs and isinstance(s, (ast.AssignSubimage, ast.DoCounted)):
+                names.add(s.var)
+            elif differs and isinstance(s, ast.Assign) and isinstance(
+                    s.lhs, ast.Ident):
+                names.add(s.lhs.name)
+            if isinstance(s, (ast.If, ast.DoCounted)):
+                visit(s.body, differs)
+
+    while True:
+        known = len(names)
+        visit(body, False)
+        if len(names) == known:
+            return variant
+
+
+def split_point(body: list[ast.Stmt], variant: set[int]) -> int:
+    """The index of the first top-level statement inside which images may
+    part: at a variant loop bound, or at a variant ``if`` that holds a
+    launch or a collective; ``len(body)`` when there is none."""
+    def stops(n) -> bool:
+        return (isinstance(n, (ast.HaloTransfer, ast.Deallocate,
+                               ast.DoConcurrent))
+                or isinstance(n, ast.Allocate) and bool(n.bounds))
+
+    def parts(n) -> bool:
+        return id(n) in variant and (
+            isinstance(n, ast.DoCounted)
+            or isinstance(n, ast.If) and any(map(stops, ast.walk(n.body))))
+    return next((i for i, s in enumerate(body)
+                 if any(map(parts, ast.walk(s)))), len(body))

@@ -12,29 +12,30 @@ allocated when the first image creates a mirror.  ``get_subimage`` returns
 a handle distinct from every image index when a device is present and
 falls back to ``this_image()`` otherwise; mirror allocation, mirror
 copies, and the per-dimension pull/push traffic of a device-resident halo
-exchange are all modelled and instrumented (event log + per-image counters).
-A halo exchange logs one compact record per dimension and kind that stands
-for every image's events; ``Machine.events`` expands the log into a fresh
-list of per-image tuples each time it is read.
+exchange are all modelled and instrumented (event log + per-image count
+arrays).  The log holds compact records that each stand for many images;
+``Machine.events`` expands it into a fresh list of tuples on every read.
 
-Images are generators advanced round-robin.  Each one stops at the next
-collective (``halo_transfer``, coarray ``allocate`` and ``deallocate``) and
-at every kernel launch, whose ranges, scalars and target it evaluates and
-checks on arrival.  Each launch statement keeps its last evaluation,
-keyed on the exact values (type and bits) of the names its ranges and
-scalars read and on whether it targets a device.  An image that finds the
-same key reuses those ranges and scalars, and only looks up its target and
-checks its own array arguments; arguments that call ``this_image()`` or
-read an array element are evaluated on every image.  Once every image has
-stopped, the launches that share a statement, ranges, scalars and target run
-as one ``run_body`` call over ``(range..., images)`` slabs: the paper's
-model, where every image applies the same kernel to its own block, in one
-step instead of P.  A stacked slab holds at most ``STACK_CELLS`` cells, so
-a larger group is split along the image axis, and an image whose slab
-alone exceeds the cap launches by itself.  Launches are image-local;
-images that disagree just form separate groups.  A host read through a
-cosubscript can see how far another image has run, so a program with one
-runs its launches inline instead, in the exact round-robin order.
+The host program runs once per cohort: ascending images at the same
+statement.  A divergence analysis by name (``plan.variant_statements``)
+tells a cohort what it may evaluate once, on its first image, and what for
+each image; a variant ``if`` masks it.  A cohort stops, once for all its
+images, at every launch and collective (``halo_transfer``, coarray
+``allocate`` and ``deallocate``).  At the first top-level statement where
+images may part it splits into one-image cohorts, advanced round-robin.  A
+host read through a cosubscript can see how far another image has run, so
+a program with one splits at its start and launches inline, in the exact
+round-robin order.  The log of a pass lists each image's events in turn.
+
+Each uniform launch statement keeps its last evaluation, keyed on the
+exact values (type and bits) of the names its ranges and scalars read and
+on whether it targets a device.  Once every cohort has stopped, the
+launches that share a statement, ranges, scalars and target run as one
+``run_body`` call over ``(range..., images)`` slabs: the paper's model,
+where every image applies the same kernel to its own block, in one step
+instead of P.  A stacked slab holds at most ``STACK_CELLS`` cells, so a
+larger group is split along the image axis, and an image whose slab alone
+exceeds the cap launches by itself.
 
 Launches are double-buffered: every read sees the pre-launch values, and a
 centre read after a centre store sees the pending value.  The default
@@ -69,10 +70,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -81,6 +83,7 @@ from .checks import CheckResult
 from .diagnostics import ALLOC_SHAPE, GRID_FACTOR, UNALLOCATED, RuntimeFault, SourcePos
 from .grid import ProcessGrid, create_grid
 from .ir import KernelIR, StorageLayout, Workspace, lower_kernel, run_body
+from .plan import governing, split_point, variant_statements
 from .symbols import MAX_HALO_WIDTH, ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
@@ -88,6 +91,10 @@ DEFAULT_EXTENT_2D = 32
 # Most cells one stacked launch slab holds.  Stacking large blocks only
 # grows the workspace buffers, and with them the peak memory.
 STACK_CELLS = 1 << 16
+_HOST_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "==": operator.eq, "/=": operator.ne, "<": operator.lt,
+             ">": operator.gt}
+_HOST_CALLS = {"abs": abs, "sqrt": math.sqrt, "min": min, "max": max}
 
 
 @dataclass
@@ -133,18 +140,15 @@ class DistributedArray:
         self.host = self.device = None
         self.mirrored[:] = False
 
-    def add_mirror(self, image: int) -> None:
-        """Give ``image`` a device mirror holding a copy of its block."""
+    def add_mirrors(self, idx) -> None:
+        """Mirror the blocks of the images at image-axis index ``idx``."""
         if self.device is None:
             self.device = np.zeros_like(self.host)
-        self.device[..., image - 1] = self.host[..., image - 1]
-        self.mirrored[image - 1] = True
+        self.device[..., idx] = self.host[..., idx]
+        self.mirrored[idx] = True
 
     def view(self, image: int) -> np.ndarray:
         return self.host[..., image - 1]
-
-    def mirror_view(self, image: int) -> np.ndarray:
-        return self.device[..., image - 1]
 
     def interior_index(self) -> tuple[slice, ...]:
         return tuple(slice(lo, lo + m)
@@ -174,7 +178,6 @@ class Machine:
         p = self.grid.p
         self.images = list(range(1, p + 1))
         self.env: dict[int, dict] = {}
-        self.counters: dict[int, dict[str, int]] = {}
         for k in self.images:
             pcol, prow = self.grid.coords(k)
             self.env[k] = {
@@ -182,11 +185,13 @@ class Machine:
                 "pcol": pcol, "prow": prow,
                 "m": self.m, "n": self.n, "nsteps": config.steps,
             }
-            self.counters[k] = {"launches": 0, "device_launches": 0,
-                                "halo_transfers": 0, "d2h": 0, "h2d": 0}
+        # per counter kind, one count per image; read through ``counters``
+        self._counts = {kind: np.zeros(p, dtype=np.int64) for kind in (
+            "launches", "device_launches", "halo_transfers", "d2h", "h2d")}
         self.arrays: dict[str, DistributedArray] = {}
-        # event tuples and _PerImage records; read through ``events``
+        # event tuples, and per-pass lists of (kind, images, fields) records
         self._log: list = []
+        self._pass: list[tuple] = []    # the records of this pass
         # id(DoConcurrent) -> its one-entry cache
         self._launch_cache: dict[int, _LaunchCache] = {}
         # vector-launch scratch, one per (kernel name, slab shape)
@@ -198,99 +203,85 @@ class Machine:
                                      for k in self.images])
             for axis in (0, 1) for delta in (-1, 1)}
         self._inline_launches = False
+        self._variant: set[int] = set()     # ids of variant statements
+
+    @property
+    def counters(self) -> dict[int, dict[str, int]]:
+        """Per-image counts, built from the count arrays on each read."""
+        return {k: {kind: int(c[k - 1]) for kind, c in self._counts.items()}
+                for k in self.images}
 
     @property
     def events(self) -> list[tuple]:
         """The event log as per-image tuples, in order; a fresh list."""
-        out: list[tuple] = []
-        for rec in self._log:
-            if isinstance(rec, _PerImage):
-                out += rec.expand()
-            else:
-                out.append(rec)
-        return out
+        # a list of records: its events image by image, each in log order
+        return [e for rec in self._log for e in (
+            sorted(((kind, k) + fields for kind, images, fields in rec
+                    for k in images), key=operator.itemgetter(1))
+            if isinstance(rec, list) else [rec])]
+
+    def _count(self, kind: str, images, n: int = 1) -> None:
+        self._counts[kind][_index(images)] += n
 
     # -- setup ------------------------------------------------------------
 
     def _setup_extents(self) -> None:
-        grid = self.grid
-        if self.primary is None:
-            self.rank = 0
-            self.global_extents = (0, 0)
-            self.m = self.n = 0
+        grid, primary = self.grid, self.primary
+        if primary is None:
+            self.rank, self.global_extents, self.m, self.n = 0, (0, 0), 0, 0
             if self.input_field is not None:
                 raise RuntimeFault(ALLOC_SHAPE,
                                    "program declares no coarray to hold the "
                                    "input field")
             return
-        rank = self.primary.rank
+        self.rank = rank = primary.rank
         if rank > 2:
             raise RuntimeFault(ALLOC_SHAPE,
                                f"execution supports rank 1 and 2; "
-                               f"'{self.primary.name}' has rank {rank}",
-                               self.primary.decl_pos)
-        self.rank = rank
+                               f"'{primary.name}' has rank {rank}",
+                               primary.decl_pos)
         if self.input_field is not None:
             mg, ng = self.input_field.shape
             if rank == 1 and ng != 1:
                 raise RuntimeFault(ALLOC_SHAPE,
                                    f"input field is {mg} x {ng} but "
-                                   f"'{self.primary.name}' is 1-D",
-                                   self.primary.decl_pos)
+                                   f"'{primary.name}' is 1-D",
+                                   primary.decl_pos)
         elif rank == 1:
             mg, ng = DEFAULT_EXTENT_1D, 1
         else:
             mg, ng = DEFAULT_EXTENT_2D, DEFAULT_EXTENT_2D
-        if rank == 1:
-            if grid.mp != 1:
+        if rank == 1 and grid.mp != 1:
+            raise RuntimeFault(
+                GRID_FACTOR,
+                f"a 1-D coarray distributes over a 1 x P grid; grid "
+                f"rows must be 1, not {grid.mp}", primary.decl_pos)
+        for d, extent, parts, what in ((1, mg, grid.np, "column"),
+                                       (2, ng, grid.mp, "row")):
+            if extent % parts != 0:
                 raise RuntimeFault(
                     GRID_FACTOR,
-                    f"a 1-D coarray distributes over a 1 x P grid; grid "
-                    f"rows must be 1, not {grid.mp}",
-                    self.primary.decl_pos)
-            if mg % grid.np != 0:
-                raise RuntimeFault(
-                    GRID_FACTOR,
-                    f"global extent {mg} is not divisible by {grid.np} "
-                    f"image(s)", self.primary.decl_pos)
-            self.m, self.n = mg // grid.np, 1
-        else:
-            if mg % grid.np != 0:
-                raise RuntimeFault(
-                    GRID_FACTOR,
-                    f"global extent {mg} (dim 1) is not divisible by the "
-                    f"{grid.np} grid column(s)", self.primary.decl_pos)
-            if ng % grid.mp != 0:
-                raise RuntimeFault(
-                    GRID_FACTOR,
-                    f"global extent {ng} (dim 2) is not divisible by the "
-                    f"{grid.mp} grid row(s)", self.primary.decl_pos)
-            self.m, self.n = mg // grid.np, ng // grid.mp
+                    f"global extent {extent} (dim {d}) is not divisible by "
+                    f"the {parts} grid {what}(s)", primary.decl_pos)
+        self.m, self.n = mg // grid.np, ng // grid.mp
         self.global_extents = (mg, ng)
 
     # -- host expression evaluation ---------------------------------------
 
     def eval(self, e: ast.Expr, k: int):
-        env = self.env[k]
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.RealLit):
+        if isinstance(e, (ast.IntLit, ast.RealLit)):
             return e.value
         if isinstance(e, ast.Ident):
-            if e.name not in env:
+            if e.name not in self.env[k]:
                 raise RuntimeFault(UNALLOCATED,
                                    f"'{e.name}' has no value at this point",
                                    e.pos)
-            return env[e.name]
-        if isinstance(e, ast.Bin):
+            return self.env[k][e.name]
+        if isinstance(e, (ast.Bin, ast.Cmp)):
             lv = self.eval(e.left, k)
             rv = self.eval(e.right, k)
-            if e.op == "+":
-                return lv + rv
-            if e.op == "-":
-                return lv - rv
-            if e.op == "*":
-                return lv * rv
+            if e.op != "/":
+                return _HOST_OPS[e.op](lv, rv)
             try:
                 if isinstance(lv, int) and isinstance(rv, int):
                     q = abs(lv) // abs(rv)
@@ -300,23 +291,14 @@ class Machine:
                 raise RuntimeFault(ALLOC_SHAPE, "division by zero", e.pos)
         if isinstance(e, ast.Neg):
             return -self.eval(e.operand, k)
-        if isinstance(e, ast.Cmp):
-            lv = self.eval(e.left, k)
-            rv = self.eval(e.right, k)
-            return {"==": lv == rv, "/=": lv != rv,
-                    "<": lv < rv, ">": lv > rv}[e.op]
         if isinstance(e, ast.Call):
             args = [self.eval(a, k) for a in e.args]
             if e.name == "this_image":
                 return k
-            if e.name == "abs":
-                return abs(args[0])
-            if e.name == "sqrt":
-                return math.sqrt(args[0])
-            if e.name == "min":
-                return min(args)
-            if e.name == "max":
-                return max(args)
+            if e.name == "sqrt" and args[0] < 0:
+                raise RuntimeFault(ALLOC_SHAPE, f"sqrt of the negative "
+                                   f"value {args[0]}", e.pos)
+            return _HOST_CALLS[e.name](*args)
         if isinstance(e, ast.SectionRef):
             return self._read_element(e, k)
         raise RuntimeFault(ALLOC_SHAPE,
@@ -335,9 +317,8 @@ class Machine:
             raise RuntimeFault(ALLOC_SHAPE,
                                "array section used where a scalar is "
                                "required", e.pos)
-        arr = self._live_array(e.array, k, e.pos)
         owner = self._resolve_image(e.cosubs, k) if e.cosubs else k
-        self._require_allocated(arr, owner, e.pos)
+        arr = self._allocated(e.array, owner, e.pos)
         idx = self._section_index(e, arr, k)
         return float(arr.view(owner)[idx])
 
@@ -349,12 +330,15 @@ class Machine:
 
     # -- array helpers -----------------------------------------------------
 
-    def _live_array(self, name: str, k: int, pos: SourcePos) -> DistributedArray:
+    def _allocated(self, name: str, k: int,
+                   pos: SourcePos) -> DistributedArray:
+        """The array ``name``, which must be allocated on image k."""
         arr = self.arrays.get(name)
         if arr is None:
             raise RuntimeFault(UNALLOCATED,
                                f"'{name}' is used before it is allocated",
                                pos)
+        self._require_allocated(arr, k, pos)
         return arr
 
     def _require_allocated(self, arr: DistributedArray, k: int,
@@ -388,53 +372,64 @@ class Machine:
     def run(self) -> None:
         """Execute the whole program.
 
-        Images advance round-robin to their next collective or launch.
+        Cohorts advance round-robin to their next collective or launch.
         The launches collected in a pass run together; a collective runs
         once every image waits at it."""
         body = self.program.body
+        variant = self._variant = variant_statements(body)
         # A coindexed read can see how far another image has run, so
-        # launches then stay in the exact round-robin order.
+        # every image then steps alone and launches inline.
         self._inline_launches = _reads_remote(body)
-        gens = {k: self._exec(body, k) for k in self.images}
-        finished: set[int] = set()
-        waiting: dict[int, tuple] = {}      # image -> its collective request
-        while len(finished) < len(self.images):
+        split = 0 if self._inline_launches else split_point(body, variant)
+        rest = body[split:]
+        # [images, generator, request]; request is None while it runs
+        cohorts = [[self.images, self._exec(body[:split], self.images), None]]
+        while True:
+            self._pass = []
+            self._log.append(self._pass)
             launches = []
-            for k in self.images:
-                if k in finished or k in waiting:
-                    continue
-                try:
-                    request = next(gens[k])
-                except StopIteration:
-                    finished.add(k)
-                    continue
-                if request[0] == "launch":
-                    launches.append(request[2])
-                else:
-                    waiting[k] = request
+            i = 0
+            while i < len(cohorts):
+                ks, gen, request = cohorts[i]
+                if request is None:
+                    request = next(gen, _DONE)
+                    if request is _DONE and rest:
+                        # every image steps alone from here
+                        cohorts[i:i + 1] = [[[k], self._exec(rest, [k]), None]
+                                            for k in ks]
+                        rest = None
+                        continue
+                    if request[0] == "launch":
+                        launches += request[2]
+                        request = None
+                    cohorts[i][2] = request
+                i += 1
             if launches:
                 self._run_launches(launches)
                 continue
+            waiting = [c[2] for c in cohorts if c[2] is not _DONE]
             if not waiting:
                 break
-            kinds = {(r[0], r[1]) for r in waiting.values()}
-            if finished or len(kinds) != 1:
-                raise RuntimeFault(
-                    UNALLOCATED,
-                    "images diverged at a collective operation")
-            kind, name, s = next(iter(waiting.values()))
-            waiting.clear()
+            if len(waiting) < len(cohorts) or len({r[:2] for r in waiting}) > 1:
+                raise RuntimeFault(UNALLOCATED, "images diverged at a "
+                                   "collective operation")
+            kind, name, s = waiting[0]
+            for c in cohorts:
+                c[2] = None
             if kind == "halo":
                 self._halo_exchange(name, s.pos)
             elif kind == "alloc":
                 self._alloc_host(s)
-            else:
-                self._dealloc(s)
+            else:   # collective: image 1 stands for every image
+                self._allocated(s.entity, 1, s.pos).release()
 
-    def _exec(self, stmts: list[ast.Stmt], k: int):
+    def _exec(self, stmts: list[ast.Stmt], ks: list[int]):
+        """Run ``stmts`` on the cohort ``ks``.  Uniform expressions are
+        evaluated on its first image: a cohort of more than one image never
+        meets a variant loop bound or a variant ``if`` that holds a stop."""
         for s in stmts:
             if isinstance(s, ast.HaloTransfer):
-                self.counters[k]["halo_transfers"] += 1
+                self._count("halo_transfers", ks)
                 yield ("halo", s.array, s)
             elif isinstance(s, ast.Allocate) and s.bounds:
                 # allocating a coarray synchronizes all images
@@ -442,72 +437,67 @@ class Machine:
             elif isinstance(s, ast.Deallocate):
                 yield ("dealloc", s.entity, s)
             elif isinstance(s, ast.DoConcurrent):
-                launch = self._prepare_launch(s, k)
-                if launch is None:
+                launches = self._prepare_launch(s, ks)
+                if not launches:
                     continue
                 if self._inline_launches:
-                    self._run_launches([launch])
+                    self._run_launches(launches)
                 else:
-                    yield ("launch", s.call.name, launch)
+                    yield ("launch", s.call.name, launches)
             elif isinstance(s, ast.DoCounted):
-                lo = self._int(s.lo, k, "loop bound")
-                hi = self._int(s.hi, k, "loop bound")
+                lo = self._int(s.lo, ks[0], "loop bound")
+                hi = self._int(s.hi, ks[0], "loop bound")
                 for v in range(lo, hi + 1):
-                    self.env[k][s.var] = v
-                    yield from self._exec(s.body, k)
+                    for k in ks:
+                        self.env[k][s.var] = v
+                    yield from self._exec(s.body, ks)
             elif isinstance(s, ast.If):
-                if self.eval(s.cond, k) is True:
-                    yield from self._exec(s.body, k)
+                # a variant condition masks the cohort
+                true = [k for k, c in zip(ks, self._values(s, s.cond, ks))
+                        if c is True]
+                if true:
+                    yield from self._exec(s.body, true)
+            elif isinstance(s, ast.Assign) and isinstance(s.lhs, ast.Ident):
+                ent = self.check.symtab.lookup(s.lhs.name)
+                real = (isinstance(ent, ScalarEntity)
+                        and ent.elem_type == "real")
+                for k, value in zip(ks, self._values(s, s.rhs, ks)):
+                    if real:
+                        value = float(value)
+                    elif isinstance(value, float):
+                        value = int(value)
+                    self.env[k][s.lhs.name] = value
+            elif isinstance(s, ast.Allocate):
+                self._alloc_device(s, ks)
+            elif isinstance(s, ast.MirrorAssign):
+                self._mirror_copy(s, ks)
+            elif isinstance(s, ast.AssignSubimage):
+                # a handle past the devices falls back to the image itself
+                device = 1 <= s.image <= self.config.devices
+                for k in ks:
+                    self.env[k][s.var] = (s.image * self.grid.p + k
+                                          if device else k)
+            elif isinstance(s, ast.Assign):
+                for k in ks:
+                    self._section_copy(s, k)
             else:
-                self._do(s, k)
+                raise TypeError(type(s).__name__)  # pragma: no cover
 
-    def _do(self, s: ast.Stmt, k: int) -> None:
-        if isinstance(s, ast.AssignSubimage):
-            self.env[k][s.var] = self._subimage_handle(s.image, k)
-            return
-        if isinstance(s, ast.Assign) and isinstance(s.lhs, ast.Ident):
-            value = self.eval(s.rhs, k)
-            ent = self.check.symtab.lookup(s.lhs.name)
-            if isinstance(ent, ScalarEntity) and ent.elem_type == "real":
-                value = float(value)
-            elif isinstance(value, float):
-                value = int(value)
-            self.env[k][s.lhs.name] = value
-            return
-        if isinstance(s, ast.Allocate):
-            self._alloc_device(s, k)
-            return
-        if isinstance(s, ast.MirrorAssign):
-            self._mirror_copy(s, k)
-            return
-        if isinstance(s, ast.Assign):
-            self._section_copy(s, k)
-            return
-        raise TypeError(type(s).__name__)  # pragma: no cover
+    def _values(self, s: ast.Stmt, e: ast.Expr, ks: list[int]) -> list:
+        """``e`` on each image of ``ks``; evaluated once if ``s`` is uniform."""
+        if id(s) in self._variant:
+            return [self.eval(e, k) for k in ks]
+        return [self.eval(e, ks[0])] * len(ks)
 
-    def _dealloc(self, a: ast.Deallocate) -> None:
-        # collective: image 1 stands for every image
-        arr = self._live_array(a.entity, 1, a.pos)
-        self._require_allocated(arr, 1, a.pos)
-        arr.release()
-
-    def _subimage_handle(self, requested: int, k: int) -> int:
-        if 1 <= requested <= self.config.devices:
-            return requested * self.grid.p + k
-        return k
-
-    def _device_handle(self, var: str, k: int, pos: SourcePos) -> int:
-        env = self.env[k]
-        if var not in env:
-            raise RuntimeFault(UNALLOCATED,
-                               f"'{var}' holds no subimage handle at this "
-                               f"point", pos)
-        return env[var]
+    def _devices(self, var: str, ks: list[int], pos: SourcePos) -> list[bool]:
+        """Whether each image's subimage handle ``var`` names a device."""
+        try:
+            return [self.env[k][var] != k for k in ks]
+        except KeyError:
+            raise RuntimeFault(UNALLOCATED, f"'{var}' holds no subimage "
+                               f"handle at this point", pos)
 
     # -- allocation --------------------------------------------------------
-
-    def _block_interior(self) -> tuple[int, ...]:
-        return (self.m,) if self.rank == 1 else (self.m, self.n)
 
     def _alloc_host(self, a: ast.Allocate) -> None:
         """Allocate a block on every image (allocation is collective)."""
@@ -521,7 +511,7 @@ class Machine:
             raise RuntimeFault(ALLOC_SHAPE,
                                "no distributed extents are configured", a.pos)
         layout = arr.layout if arr is not None else None
-        for k in self.images:
+        for k in self.images if id(a) in self._variant else [1]:
             block = self._block_layout(a, ent, k)
             if layout is not None and block != layout:
                 raise RuntimeFault(ALLOC_SHAPE,
@@ -538,8 +528,7 @@ class Machine:
 
     def _block_layout(self, a: ast.Allocate, ent: ArrayEntity,
                       k: int) -> StorageLayout:
-        interior = (self._block_interior() if ent.corank > 0
-                    else None)
+        interior = (self.m, self.n)[:self.rank] if ent.corank > 0 else None
         los, his, ms = [], [], []
         for d, (lo_e, hi_e) in enumerate(a.bounds):
             lo_v = self._int(lo_e, k, "allocate bound")
@@ -604,46 +593,45 @@ class Machine:
     def _scatter(self, arr: DistributedArray) -> None:
         self._blocks(arr)[...] = self._tiles(self.input_field)
 
-    def _alloc_device(self, a: ast.Allocate, k: int) -> None:
-        handle = self._device_handle(a.device, k, a.pos)
-        if handle == k:
-            return      # fallback handle: no device, nothing to mirror
-        arr = self._live_array(a.entity, k, a.pos)
-        self._require_allocated(arr, k, a.pos)
-        arr.add_mirror(k)
-        self.counters[k]["h2d"] += 1
-        self._log.append(("device_alloc", k, a.entity))
+    def _alloc_device(self, a: ast.Allocate, ks: list[int]) -> None:
+        # a fallback handle has no device, so nothing to mirror
+        images = [k for k, dev in zip(ks, self._devices(a.device, ks, a.pos))
+                  if dev]
+        if not images:
+            return
+        arr = self._allocated(a.entity, images[0], a.pos)
+        arr.add_mirrors(_index(images))
+        self._count("h2d", images)
+        self._pass.append(("device_alloc", images, (a.entity,)))
 
-    def _mirror_copy(self, a: ast.MirrorAssign, k: int) -> None:
-        arr = self._live_array(a.array, k, a.pos)
-        self._require_allocated(arr, k, a.pos)
-        handle = self._device_handle(a.device, k, a.pos)
-        if handle == k:
-            return      # fallback: host and "device" are the same memory
-        if not arr.mirrored[k - 1]:
-            raise RuntimeFault(UNALLOCATED,
-                               f"'{a.array}' has no device mirror on image "
-                               f"{k}", a.pos)
-        if a.direction == "device_to_host":
-            arr.view(k)[...] = arr.mirror_view(k)
-            self.counters[k]["d2h"] += 1
-            self._log.append(("d2h", k, a.array, -1))
-        else:
-            arr.mirror_view(k)[...] = arr.view(k)
-            self.counters[k]["h2d"] += 1
-            self._log.append(("h2d", k, a.array, -1))
+    def _mirror_copy(self, a: ast.MirrorAssign, ks: list[int]) -> None:
+        arr = self._allocated(a.array, ks[0], a.pos)
+        # fallback: host and "device" are the same memory
+        images = [k for k, dev in zip(ks, self._devices(a.device, ks, a.pos))
+                  if dev]
+        missing = [k for k in images if not arr.mirrored[k - 1]]
+        if missing:
+            raise RuntimeFault(UNALLOCATED, f"'{a.array}' has no device "
+                               f"mirror on image {missing[0]}", a.pos)
+        if not images:
+            return
+        idx = _index(images)
+        to_host = a.direction == "device_to_host"
+        src, dst = (arr.device, arr.host) if to_host else (arr.host, arr.device)
+        dst[..., idx] = src[..., idx]
+        kind = "d2h" if to_host else "h2d"
+        self._count(kind, images)
+        self._pass.append((kind, images, (a.array, -1)))
 
     # -- section copies ----------------------------------------------------
 
     def _section_copy(self, a: ast.Assign, k: int) -> None:
-        arr = self._live_array(a.lhs.array, k, a.pos)
-        self._require_allocated(arr, k, a.pos)
+        arr = self._allocated(a.lhs.array, k, a.pos)
         dst_idx = self._section_index(a.lhs, arr, k)
         if isinstance(a.rhs, ast.SectionRef):
-            src_arr = self._live_array(a.rhs.array, k, a.pos)
             owner = (self._resolve_image(a.rhs.cosubs, k)
                      if a.rhs.cosubs else k)
-            self._require_allocated(src_arr, owner, a.pos)
+            src_arr = self._allocated(a.rhs.array, owner, a.pos)
             src_idx = self._section_index(a.rhs, src_arr, k)
             value = src_arr.view(owner)[src_idx].copy()
         else:
@@ -657,63 +645,68 @@ class Machine:
     # -- launches ----------------------------------------------------------
 
     def _prepare_launch(self, a: ast.DoConcurrent,
-                        k: int) -> Optional[_Launch]:
-        """Check image k's launch and count it; None when a range is empty.
-
-        The ranges and scalars are evaluated unless the launch's cache
-        holds them for the values image k's names have now."""
-        handle = self._device_handle(a.target, k, a.pos)
-        on_device = handle != k
+                        ks: list[int]) -> list[tuple[_Launch, list[int]]]:
+        """Check and count the cohort's launch; the requests that run it,
+        each an evaluation and its images.  A uniform launch is evaluated
+        once per target kind unless cached, a variant one once per image."""
         cache = self._launch_cache.get(id(a))
         if cache is None:
-            params = self.check.kernels[a.call.name].kernel.params
-            cache = self._launch_cache[id(a)] = _LaunchCache(a, params)
-        key = cache.key_for(self.env[k], on_device)
-        if key is not None and key == cache.key:
-            for name in cache.array_args:
-                self._launch_array(name, k, on_device, a.pos)
-            entry = cache.entry
-        else:
-            entry = self._evaluate_launch(a, k, on_device)
-            if key is not None:
-                cache.key, cache.entry = key, entry
-        self.counters[k]["launches"] += 1
-        if on_device:
-            self.counters[k]["device_launches"] += 1
-        self._log.append(("launch", k, a.call.name, on_device))
-        if entry is None:
-            return None
-        return _Launch(k, entry.key, entry.kernel, entry.ranges, entry.arrays,
-                       on_device, entry.scalars)
+            cache = self._launch_cache[id(a)] = _LaunchCache(
+                a, id(a) in self._variant)
+        devs = self._devices(a.target, ks, a.pos)
+        if cache.names is None:
+            groups = [([k], dev) for k, dev in zip(ks, devs)]
+        else:   # one group per target kind, the first image's first
+            groups = [([k for k, d in zip(ks, devs) if d == dev], dev)
+                      for dev in dict.fromkeys(devs)]
+        requests = []
+        for images, on_device in groups:
+            k = images[0]
+            key = cache.key_for(self.env[k], on_device)
+            if key is not None and key == cache.key:
+                for name in cache.array_args:
+                    self._launch_array(name, k, on_device, a.pos)
+                entry = cache.entry
+            else:
+                entry = self._evaluate_launch(a, k, on_device)
+                if key is not None:
+                    cache.key, cache.entry = key, entry
+            # allocation is collective, so images differ only in mirrors
+            ok = len(images)
+            if on_device:
+                for name in cache.array_args:
+                    mirrored = self.arrays[name].mirrored[_index(images[:ok])]
+                    ok = ok if mirrored.all() else int(mirrored.argmin())
+            self._count("launches", images[:ok])
+            self._count("device_launches", images[:ok], int(on_device))
+            self._pass.append(("launch", images[:ok], (a.call.name,
+                                                       on_device)))
+            if ok < len(images):
+                for name in cache.array_args:
+                    self._launch_array(name, images[ok], on_device, a.pos)
+            if entry is not None:
+                requests.append((entry, images))
+        return requests
 
     def _evaluate_launch(self, a: ast.DoConcurrent, k: int,
                          on_device: bool) -> Optional[_Launch]:
         """Evaluate and check image k's ranges, scalars and arrays; None
         when a range is empty."""
         kir = self.kernels[a.call.name]
-        ranges = []
-        interior = None
-        for r in a.ranges:
-            lo = self._int(r.lo, k, "launch range")
-            hi = self._int(r.hi, k, "launch range")
-            ranges.append((lo, hi))
-
+        ranges = [(self._int(r.lo, k, "launch range"),
+                   self._int(r.hi, k, "launch range")) for r in a.ranges]
         arrays: dict[str, DistributedArray] = {}
         scalars: dict[str, object] = {}
         kernel_params = self.check.kernels[a.call.name].kernel.params
         for p, arg in zip(kernel_params, a.call.args):
             if isinstance(arg, ast.ElementArg):
-                arr = self._launch_array(arg.array, k, on_device, a.pos)
-                arrays[p] = arr
-                if interior is None:
-                    interior = arr.layout.interior
+                arrays[p] = self._launch_array(arg.array, k, on_device, a.pos)
             else:
                 value = self.eval(arg, k)
-                if kir.param_types[p] == "real":
-                    scalars[p] = np.float64(value)
-                else:
-                    scalars[p] = np.int64(value)
-
+                real = kir.param_types[p] == "real"
+                scalars[p] = np.float64(value) if real else np.int64(value)
+        # the ranges index the first array's interior
+        interior = next(iter(arrays.values())).layout.interior
         for d, (lo, hi) in enumerate(ranges):
             if lo < 1 or hi > interior[d]:
                 raise RuntimeFault(
@@ -730,27 +723,26 @@ class Machine:
 
     def _launch_array(self, name: str, k: int, on_device: bool,
                       pos: SourcePos) -> DistributedArray:
-        arr = self._live_array(name, k, pos)
-        self._require_allocated(arr, k, pos)
+        arr = self._allocated(name, k, pos)
         if on_device and not arr.mirrored[k - 1]:
             raise RuntimeFault(UNALLOCATED,
                                f"'{name}' is not allocated on the device",
                                pos)
         return arr
 
-    def _run_launches(self, launches: list[_Launch]) -> None:
+    def _run_launches(self,
+                      requests: list[tuple[_Launch, list[int]]]) -> None:
         """Run image-local launches; those with equal keys run stacked."""
-        groups: dict[tuple, list[_Launch]] = {}
-        for launch in launches:
-            groups.setdefault(launch.key, []).append(launch)
-        for group in groups.values():
-            first = group[0]
+        groups: dict[tuple, tuple[_Launch, list[int]]] = {}
+        for launch, images in requests:
+            groups.setdefault(launch.key, (launch, []))[1].extend(images)
+        for first, group in groups.values():
             stacks = {p: arr.device if first.on_device else arr.host
                       for p, arr in first.arrays.items()}
             layouts = {p: arr.layout for p, arr in first.arrays.items()}
             if self.config.shuffle_seed is not None:
-                for launch in group:
-                    buffers = {p: stack[..., launch.image - 1]
+                for k in group:
+                    buffers = {p: stack[..., k - 1]
                                for p, stack in stacks.items()}
                     snapshots = {p: buf.copy() for p, buf in buffers.items()}
                     self._launch_pointwise(first.kernel, first.ranges,
@@ -758,8 +750,7 @@ class Machine:
                                            first.scalars)
                 continue
             cells = math.prod(hi - lo + 1 for lo, hi in first.ranges)
-            for images in _image_runs([launch.image for launch in group],
-                                      max(1, STACK_CELLS // cells)):
+            for images in _image_runs(group, max(1, STACK_CELLS // cells)):
                 self._launch_vector(first.kernel, first.ranges, images,
                                     stacks, layouts, first.scalars)
 
@@ -822,9 +813,8 @@ class Machine:
         self._require_allocated(arr, 1, pos)
         layout = arr.layout
         host, device = arr.host, arr.device
-        mirrored = [k for k in self.images if arr.mirrored[k - 1]]
-        on_device = (slice(None) if len(mirrored) == len(self.images)
-                     else np.array(mirrored) - 1)
+        mirrored = (np.flatnonzero(arr.mirrored) + 1).tolist()
+        on_device = _index(mirrored) if mirrored else None
         self._log.append(("halo_transfer", name))
         for d in range(layout.rank):
             w_lo, w_hi = layout.lo[d], layout.hi[d]
@@ -854,7 +844,8 @@ class Machine:
                 for _, interior, _, _ in sides:
                     host[slab(interior, on_device)] = \
                         device[slab(interior, on_device)]
-                self._count_copies("d2h", mirrored, name, d, len(sides))
+                self._count("d2h", mirrored, len(sides))
+                self._log.append([("d2h", mirrored, (name, d))] * len(sides))
 
             # Exchange on the host: every image completes dimension d
             # before any image starts d+1 (corners become correct
@@ -863,21 +854,16 @@ class Machine:
             # permutation copies, so an image may be its own neighbour.
             for halo, interior, neighbour, _ in sides:
                 host[slab(halo, slice(None))] = host[slab(interior, neighbour)]
-            self._log.append(_PerImage("halo_fill", self.images, name, d,
-                                       tuple((side[3],) for side in sides)))
+            self._log.append([("halo_fill", self.images, (name, d, side[3]))
+                              for side in sides])
 
             # Device path, phase 2: push the received halo slabs back down.
             if mirrored:
                 for halo, _, _, _ in sides:
                     device[slab(halo, on_device)] = \
                         host[slab(halo, on_device)]
-                self._count_copies("h2d", mirrored, name, d, len(sides))
-
-    def _count_copies(self, kind: str, images: list[int], name: str, d: int,
-                      copies: int) -> None:
-        for k in images:
-            self.counters[k][kind] += copies
-        self._log.append(_PerImage(kind, images, name, d, ((),) * copies))
+                self._count("h2d", mirrored, len(sides))
+                self._log.append([("h2d", mirrored, (name, d))] * len(sides))
 
     # -- gather / scatter --------------------------------------------------
 
@@ -901,10 +887,11 @@ class Machine:
 
 @dataclass
 class _Launch:
-    """One image's evaluated launch, waiting to run."""
+    """A launch evaluated on ``image``, for every image that shares its
+    key: images whose launches share it run stacked."""
 
     image: int
-    key: tuple              # images whose launches share it run stacked
+    key: tuple
     kernel: KernelIR
     ranges: list[tuple[int, int]]
     arrays: dict[str, DistributedArray]
@@ -915,61 +902,32 @@ class _Launch:
 _UNSET = object()
 
 
-def _value_key(v) -> tuple:
-    """``v`` by type and bits: 0.0 and -0.0 differ, and so do 1 and 1.0."""
-    if type(v) is float:
-        return float, struct.pack("<d", v)
-    return type(v), v
-
-
 class _LaunchCache:
-    """One launch statement's last evaluation, reused by every image whose
-    names read by its ranges and scalars hold the same values.
+    """One uniform launch statement's last evaluation, reused by every
+    image whose names read by its ranges and scalars hold the same values.
 
     ``entry`` is the ``_Launch`` evaluated for ``key`` (None for an empty
     range); its ranges and scalars are shared between images, so nothing
     may change them."""
 
-    def __init__(self, a: ast.DoConcurrent, params: list[str]):
-        exprs = [e for r in a.ranges for e in (r.lo, r.hi)]
-        exprs += [arg for _, arg in zip(params, a.call.args)
-                  if not isinstance(arg, ast.ElementArg)]
-        nodes = list(ast.walk(exprs))
-        # these can differ between images whose names are equal
-        per_image = any(isinstance(n, ast.SectionRef)
-                        or (isinstance(n, ast.Call) and n.name == "this_image")
-                        for n in nodes)
-        self.names = (None if per_image else
-                      tuple(sorted({n.name for n in nodes
-                                    if isinstance(n, ast.Ident)})))
-        self.array_args = [arg.array for _, arg in zip(params, a.call.args)
+    def __init__(self, a: ast.DoConcurrent, variant: bool):
+        # a variant launch is evaluated on every image
+        self.names = None if variant else tuple(sorted(
+            {n.name for n in ast.walk(governing(a))
+             if isinstance(n, ast.Ident)}))
+        self.array_args = [arg.array for arg in a.call.args
                            if isinstance(arg, ast.ElementArg)]
         self.key: Optional[tuple] = None
         self.entry: Optional[_Launch] = None
 
     def key_for(self, env: dict, on_device: bool) -> Optional[tuple]:
-        """The cache key of an image with names ``env``; None when the
-        launch is evaluated on every image."""
+        """The cache key of an image with names ``env``, None for a variant
+        launch.  Values compare by type and bits: 0.0 and -0.0 differ."""
         if self.names is None:
             return None
-        return (on_device,) + tuple(_value_key(env.get(n, _UNSET))
-                                    for n in self.names)
-
-
-class _PerImage(NamedTuple):
-    """A log record for one event per image and variant: the tuples
-    ``(kind, k, name, d) + variant`` for each k in ``images`` and each
-    variant in ``variants``, in that order."""
-
-    kind: str
-    images: list[int]
-    name: str
-    d: int
-    variants: tuple[tuple, ...]
-
-    def expand(self) -> list[tuple]:
-        return [(self.kind, k, self.name, self.d) + v
-                for k in self.images for v in self.variants]
+        return (on_device,) + tuple(
+            (float, struct.pack("<d", v)) if type(v) is float else (type(v), v)
+            for v in (env.get(n, _UNSET) for n in self.names))
 
 
 def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
@@ -985,10 +943,20 @@ def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     yield slice(start - 1, prev)
 
 
+def _index(images: list[int]):
+    """The image-axis index of ascending ``images``; a slice if consecutive."""
+    if images and images[-1] - images[0] == len(images) - 1:
+        return slice(images[0] - 1, images[-1])
+    return np.asarray(images, dtype=int) - 1
+
+
 def _reads_remote(node) -> bool:
     """Whether a program fragment reads an array through a cosubscript."""
     return any(isinstance(n, ast.SectionRef) and n.cosubs
                for n in ast.walk(node))
+
+
+_DONE = ("done",)       # the request of a cohort at the end of its program
 
 
 # ---------------------------------------------------------------------------

@@ -250,3 +250,37 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+ABS_OF_NOTHING = (CORPUS / "laplacian.lope").read_text().replace(
+    "U(0,0) = ", "U(0,0) = abs() + ", 1)
+
+
+@pytest.mark.parametrize("command", ["check", "emit", "run"])
+def test_intrinsic_with_no_argument_exits_1(tmp_path, capsys, command):
+    src = tmp_path / "abs.lope"
+    src.write_text(ABS_OF_NOTHING)
+    line = next(i for i, text in enumerate(ABS_OF_NOTHING.splitlines(), 1)
+                if "abs()" in text)
+    assert main([command, str(src)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"{src}:{line}:")
+    assert "error[E104]: 'abs' takes 1 argument, got 0" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_host_sqrt_of_a_negative_value_exits_3(tmp_path, capsys):
+    text = (CORPUS / "laplacian.lope").read_text().replace(
+        "  integer :: it\n", "  integer :: it\n  real :: s\n").replace(
+        "  device = GET_SUBIMAGE(1)\n",
+        "  device = GET_SUBIMAGE(1)\n  s = 1.0 + sqrt(0.5 - M)\n", 1)
+    src = tmp_path / "sqrt.lope"
+    src.write_text(text)
+    line = next(i for i, t in enumerate(text.splitlines(), 1) if "sqrt" in t)
+    assert main(["run", str(src), "-o", str(tmp_path / "out.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{src}:{line}:13: error[E108]: ")
+    assert "sqrt of the negative value -31.5" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()

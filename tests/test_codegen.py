@@ -180,3 +180,15 @@ def test_random_kernels_emitted_c_equals_simulator():
         field = nrng.uniform(-1, 1, (6, 6))
         sim, cint = run_both(text, field)
         assert np.array_equal(sim, cint), text
+
+
+def test_min_and_max_of_many_arguments_nest_in_c():
+    body = ("  U(0,0) = min(U(-1,0), U(0,0), U(+1,0))"
+            " + max(U(0,-1), 0.25, U(0,+1), U(0,0))")
+    text = TEMPLATE.format(body=body)
+    ir = lower_kernel(compile_source(text).kernels["k"])
+    ctext = emit_kernel_source(ir, EmitConfig())
+    assert "fmin(fmin(u_in[" in ctext and "fmax(fmax(fmax(u_in[" in ctext
+    field = np.random.default_rng(14).uniform(-1, 1, (6, 6))
+    sim, cint = run_both(text, field)
+    assert np.array_equal(sim, cint)

@@ -14,9 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import compile_source
+from conftest import CORPUS, compile_source
 from lopec.diagnostics import RuntimeFault
 from lopec.runtime import Machine, RunConfig
+from test_runtime import IMAGE_DEPENDENT
 
 # images, grid rows, devices; a 1-D coarray runs on one grid row
 CONFIGS = [(1, 1, 0), (4, 2, 0), (4, 2, 1), (8, 1, 1)]
@@ -238,3 +239,53 @@ def digest_of(text: str) -> str:
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_host_execution_is_pinned(name):
     assert digest_of(PROGRAMS[name]) == DIGESTS[name]
+
+
+def launch_requests(text, field, **config):
+    """Run, and list the images of every launch request that reaches
+    ``_run_launches``."""
+    machine = Machine(compile_source(text), RunConfig(**config), field)
+    requests = []
+    run_launches = machine._run_launches
+
+    def spy(batch):
+        requests.extend(images for _, images in batch)
+        run_launches(batch)
+
+    machine._run_launches = spy
+    machine.run()
+    return machine, requests
+
+
+def test_host_stepping_does_not_scale_with_images():
+    """The halo-many-images run steps its host program once for all 64
+    images: one launch request per step, not one per image and step."""
+    field = np.random.default_rng(9).standard_normal((128, 128))
+    machine, requests = launch_requests(
+        (CORPUS / "upwind.lope").read_text(), field, images=64, grid_rows=8,
+        devices=1, steps=50)
+    assert requests == [machine.images] * 50
+    assert sum(c["launches"] for c in machine.counters.values()) == 3200
+
+
+@pytest.mark.parametrize("coindexed", [False, True])
+def test_image_dependent_programs_step_each_image_alone(coindexed):
+    """A variant ``if`` around a launch parts the images, and so does a
+    coindexed read, from the start; each image then launches alone, and
+    the fields are those pinned for the one-generator-per-image runs."""
+    text = IMAGE_DEPENDENT
+    want = "074c491144e1da90742f3ea6b7e7d2552468f2ad"
+    if not coindexed:
+        text = text.replace("  U(M,:) = U(1,:)[pcol+1, prow]\n", "")
+        want = "5d58877a2537b2ff691227375bdc08112577328c"
+    field = np.random.default_rng(3).standard_normal((16, 16))
+    for devices in (0, 1):
+        machine, requests = launch_requests(text, field.copy(), images=4,
+                                            grid_rows=2, steps=3,
+                                            devices=devices)
+        assert requests and all(len(images) == 1 for images in requests)
+        # every launch that the images reach is requested
+        assert len(requests) == sum(
+            c["launches"] for c in machine.counters.values())
+        digest = hashlib.sha1(machine.gather().tobytes()).hexdigest()
+        assert digest == want, devices

@@ -77,6 +77,32 @@ def test_allowed_intrinsics_pass():
     assert diagnostics_of(template(body)) == []
 
 
+@pytest.mark.parametrize("call", [
+    "abs()", "abs(U(0,0), U(1,0))", "sqrt(U(0,0), U(1,0))", "sqrt()",
+    "min(U(0,0))", "max()",
+])
+def test_kernel_intrinsic_arity_is_checked(call):
+    out = diagnostics_of(template(f"  U(0,0) = 1 + {call}"), name="k.lope")
+    assert len(out) == 1, out
+    # the diagnostic points at the call
+    assert out[0].startswith("k.lope:3:16: error[E104]: "), out
+    assert f"'{call.split('(')[0]}' takes" in out[0]
+
+
+@pytest.mark.parametrize("rhs,col", [
+    ("abs()", 7), ("sqrt(1.0, 2.0)", 7), ("min(1.0)", 7),
+    ("this_image(3)", 7), ("1 + max(2)", 11),
+])
+def test_host_intrinsic_arity_is_checked(rhs, col):
+    text = template("  U(0,0) = U(0,0)", extra_decls="  real :: s",
+                    extra_host=f"  s = {rhs}")
+    line = text.splitlines().index(f"  s = {rhs}") + 1
+    out = diagnostics_of(text, name="h.lope")
+    assert len(out) == 1, out
+    assert out[0].startswith(f"h.lope:{line}:{col}: error[E108]: "), out
+    assert "takes" in out[0]
+
+
 def test_offset_arity_mismatch():
     assert codes(template("  U(0,0) = U(1)")) == ["E012"]
 
