@@ -6,10 +6,11 @@ offsets, ``ScalarRead`` fetches a scalar parameter or kernel local.  Surface
 binary minus is normalized away (``a - b`` becomes ``Add(a, Neg(b))``) so
 consumers handle one additive form.
 
-``StorageLayout`` describes the per-image padded block: interior extents
-plus halo widths per side, column-major linearization (stride of dim 1 is
-1).  ``map_local_to_global`` turns (centre, offset) into the flat storage
-index; the distributed runtime and the emitted C use exactly this formula.
+``StorageLayout`` describes the per-image padded block (interior extents
+plus halo widths per side, stored column-major) and owns its index map,
+through which every runtime read, write-back, section and halo exchange
+indexes.  The emitted C spells the same map as text; tests replay it
+against the runtime.
 
 ``run_body`` interprets a kernel body against a caller-supplied read
 callback.  Operands flow through numpy, so the same code evaluates whole
@@ -22,7 +23,7 @@ allocated.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -206,11 +207,11 @@ class StorageLayout:
             raise ValueError("interior extents must be positive")
         if lo and min(lo + hi) < 0:
             raise ValueError("halo widths must be non-negative")
-        # the layout is immutable, so its derived shapes are computed once
-        padded = tuple(map(operator.add, map(operator.add, interior, lo), hi))
-        object.__setattr__(self, "_padded", padded)
-        object.__setattr__(self, "_strides", tuple(
-            itertools.accumulate(padded, operator.mul, initial=1))[:-1])
+        # the layout is immutable, so its derived tuples are computed once
+        object.__setattr__(self, "_padded", tuple(
+            map(operator.add, map(operator.add, interior, lo), hi)))
+        # the padded coordinate of interior position 0, per dimension
+        object.__setattr__(self, "_origin", tuple(w - 1 for w in lo))
 
     @property
     def rank(self) -> int:
@@ -222,42 +223,46 @@ class StorageLayout:
     def count(self) -> int:
         return math.prod(self._padded)
 
-    def strides(self) -> tuple[int, ...]:
-        return self._strides
+    def at(self, centre, offsets=None) -> tuple:
+        """0-based padded coordinates of the cell ``offsets`` away from the
+        1-based interior point ``centre``: ints or broadcastable integer
+        arrays, unchecked.  A shorter centre places its leading dims."""
+        coords = map(operator.add, centre, self._origin)
+        if offsets is not None:
+            coords = map(operator.add, coords, offsets)
+        return tuple(coords)
 
-    def linear(self, coords: tuple[int, ...]) -> int:
-        """Flat index of 0-based padded-space coordinates."""
-        for c, e in zip(coords, self._padded):
-            if not 0 <= c < e:
-                raise ValueError(f"coordinate {coords} outside padded "
-                                 f"extents {self._padded}")
-        return sum(c * s for c, s in zip(coords, self._strides))
+    def slab(self, ranges=None, offsets=None) -> tuple[slice, ...]:
+        """The index of 1-based inclusive interior ``ranges``, one
+        ``(first, last)`` per dimension and the whole interior by default,
+        displaced by ``offsets``."""
+        if ranges is None:
+            ranges = [(1, m) for m in self.interior]
+        first, last = zip(*ranges)
+        stop = self.at([b + 1 for b in last], offsets)
+        return tuple(map(slice, self.at(first, offsets), stop))
 
+    @functools.cached_property
+    def halo_sides(self) -> tuple[tuple[tuple[tuple, tuple, str], ...], ...]:
+        """Per dimension, one ``(halo, source, side)`` per nonempty halo
+        side: the index of the halo, the index of the interior slab that
+        fills it from the neighbour on that side, and "low" or "high".
+        Both span the whole padded extent of the other dimensions."""
+        box = [(1 - lo, m + hi)
+               for m, lo, hi in zip(self.interior, self.lo, self.hi)]
 
-def map_local_to_global(offsets: tuple[int, ...], center: tuple[int, ...],
-                        layout: StorageLayout):
-    """Flat storage index of the element ``offsets`` away from ``center``.
+        def span(d: int, first: int, last: int) -> tuple[slice, ...]:
+            return self.slab(box[:d] + [(first, last)] + box[d + 1:])
 
-    ``center`` is 1-based in the interior; the returned index addresses the
-    padded block (halo cells included), column-major.  Components may be
-    ints (returns an int) or broadcastable integer ndarrays (returns the
-    ndarray of flat indices); either way an out-of-box coordinate raises
-    ``ValueError``.
-    """
-    coords = []
-    vector = False
-    for c, lo, o in zip(center, layout.lo, offsets):
-        c = c + (lo - 1) + o
-        vector = vector or isinstance(c, np.ndarray)
-        coords.append(c)
-    if not vector:
-        return layout.linear(tuple(coords))
-    # one C pass broadcasts, bounds-checks and linearizes the coordinates
-    try:
-        return np.ravel_multi_index(tuple(coords), layout._padded, order="F")
-    except ValueError:
-        raise ValueError("coordinates outside padded extents "
-                         f"{layout._padded}") from None
+        sides = []
+        for d, (m, lo, hi) in enumerate(zip(self.interior, self.lo, self.hi)):
+            dim = []
+            if lo:
+                dim.append((span(d, 1 - lo, 0), span(d, m - lo + 1, m), "low"))
+            if hi:
+                dim.append((span(d, m + 1, m + hi), span(d, 1, hi), "high"))
+            sides.append(tuple(dim))
+        return tuple(sides)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,6 @@ class DistributedArray:
     def view(self, image: int) -> np.ndarray:
         return self.host[..., image - 1]
 
-    def interior_index(self) -> tuple[slice, ...]:
-        return tuple(slice(lo, lo + m)
-                     for lo, m in zip(self.layout.lo, self.layout.interior))
-
 
 class Machine:
     """Builds the grid and images for a checked program and runs it."""
@@ -199,9 +195,9 @@ class Machine:
         # 0-based cyclic neighbour of every image, per (grid axis, side):
         # halo exchange gathers slabs along the image axis through these
         self.neighbours = {
-            (axis, delta): np.array([self.grid.neighbor(k, axis, delta) - 1
-                                     for k in self.images])
-            for axis in (0, 1) for delta in (-1, 1)}
+            (axis, side): np.array([self.grid.neighbor(k, axis, delta) - 1
+                                    for k in self.images])
+            for axis in (0, 1) for side, delta in (("low", -1), ("high", 1))}
         self._inline_launches = False
         self._variant: set[int] = set()     # ids of variant statements
 
@@ -350,15 +346,18 @@ class Machine:
 
     def _section_index(self, ref: ast.SectionRef, arr: DistributedArray,
                        k: int) -> tuple:
+        """The block index of a section: the interior along a ``:``, the
+        padded coordinate of a subscript, checked in order."""
         layout = arr.layout
-        idx = []
+        centre, idx = [], []
         for d, sub in enumerate(ref.subs):
             if isinstance(sub, ast.FullRange):
-                idx.append(slice(layout.lo[d], layout.lo[d]
-                                 + layout.interior[d]))
+                centre.append(1)
+                idx.append(layout.slab()[d])
                 continue
             v = self._int(sub, k, "subscript")
-            coord = v - 1 + layout.lo[d]
+            centre.append(v)
+            coord = layout.at(centre)[d]
             if not 0 <= coord < layout.padded()[d]:
                 raise RuntimeFault(ALLOC_SHAPE,
                                    f"subscript {v} of '{ref.array}' is "
@@ -463,9 +462,9 @@ class Machine:
                         and ent.elem_type == "real")
                 for k, value in zip(ks, self._values(s, s.rhs, ks)):
                     if real:
-                        value = float(value)
+                        value = _convert(float, value, s.rhs.pos)
                     elif isinstance(value, float):
-                        value = int(value)
+                        value = _convert(int, value, s.rhs.pos)
                     self.env[k][s.lhs.name] = value
             elif isinstance(s, ast.Allocate):
                 self._alloc_device(s, ks)
@@ -579,7 +578,7 @@ class Machine:
 
         Images are numbered column-major over the grid, so splitting the
         image axis puts image k at ``[..., pcol-1, prow-1]``."""
-        blocks = arr.host[arr.interior_index() + (slice(None),)]
+        blocks = arr.host[arr.layout.slab() + (slice(None),)]
         if self.rank == 1:
             blocks = blocks[:, None, :]
         return blocks.reshape(self.m, self.n, self.grid.np, self.grid.mp)
@@ -702,9 +701,9 @@ class Machine:
             if isinstance(arg, ast.ElementArg):
                 arrays[p] = self._launch_array(arg.array, k, on_device, a.pos)
             else:
-                value = self.eval(arg, k)
-                real = kir.param_types[p] == "real"
-                scalars[p] = np.float64(value) if real else np.int64(value)
+                kind = (np.float64 if kir.param_types[p] == "real"
+                        else np.int64)
+                scalars[p] = _convert(kind, self.eval(arg, k), arg.pos)
         # the ranges index the first array's interior
         interior = next(iter(arrays.values())).layout.interior
         for d, (lo, hi) in enumerate(ranges):
@@ -760,10 +759,8 @@ class Machine:
         # value is written back, so the slabs come from the live stacks.
         # ``images`` is a slice of the image axis.
         def read(name: str, offsets: tuple[int, ...]):
-            lay = layouts[name]
-            idx = tuple(slice(lo - 1 + hl + o, hi + hl + o)
-                        for (lo, hi), hl, o in zip(ranges, lay.lo, offsets))
-            return stacks[name][idx + (images,)]
+            return stacks[name][layouts[name].slab(ranges, offsets)
+                                + (images,)]
 
         shape = (tuple(hi - lo + 1 for lo, hi in ranges)
                  + (images.stop - images.start,))
@@ -778,28 +775,28 @@ class Machine:
                    for stack in stacks.values()):
                 pending[name] = value.copy()
         for name, value in pending.items():
-            lay = layouts[name]
-            out_idx = tuple(slice(lo - 1 + hl, hi + hl)
-                            for (lo, hi), hl in zip(ranges, lay.lo))
-            stacks[name][out_idx + (images,)] = value
+            stacks[name][layouts[name].slab(ranges) + (images,)] = value
 
     def _launch_pointwise(self, kir, ranges, buffers, snapshots, layouts,
                           scalars) -> None:
+        # 0-based launch points index views of the launch ranges, one per
+        # array and read offset
         points = list(itertools.product(
-            *[range(lo, hi + 1) for lo, hi in ranges]))
+            *[range(hi - lo + 1) for lo, hi in ranges]))
         random.Random(self.config.shuffle_seed).shuffle(points)
-        for pt in points:
-            def read(name: str, offsets: tuple[int, ...]):
-                lay = layouts[name]
-                idx = tuple(c - 1 + hl + o
-                            for c, hl, o in zip(pt, lay.lo, offsets))
-                return snapshots[name][idx]
+        views = {}
 
-            pending = run_body(kir, read, scalars)
-            for name, value in pending.items():
-                lay = layouts[name]
-                idx = tuple(c - 1 + hl for c, hl in zip(pt, lay.lo))
-                buffers[name][idx] = value
+        def read(name: str, offsets: tuple[int, ...]):
+            if (name, offsets) not in views:
+                views[name, offsets] = \
+                    snapshots[name][layouts[name].slab(ranges, offsets)]
+            return views[name, offsets][pt]
+
+        out = {name: buffers[name][layouts[name].slab(ranges)]
+               for name in kir.stored_arrays}
+        for pt in points:
+            for name, value in run_body(kir, read, scalars).items():
+                out[name][pt] = value
 
     # -- halo exchange -----------------------------------------------------
 
@@ -811,39 +808,18 @@ class Machine:
                                f"allocated", pos)
         # allocation is collective: image 1 stands for every image
         self._require_allocated(arr, 1, pos)
-        layout = arr.layout
         host, device = arr.host, arr.device
         mirrored = (np.flatnonzero(arr.mirrored) + 1).tolist()
         on_device = _index(mirrored) if mirrored else None
         self._log.append(("halo_transfer", name))
-        for d in range(layout.rank):
-            w_lo, w_hi = layout.lo[d], layout.hi[d]
-            if w_lo == 0 and w_hi == 0:
+        for d, sides in enumerate(arr.layout.halo_sides):
+            if not sides:
                 continue
-            m_d = layout.interior[d]
-
-            def slab(sl: slice, images) -> tuple:
-                idx: list = [slice(None)] * layout.rank
-                idx[d] = sl
-                return tuple(idx) + (images,)
-
-            # (halo, the neighbour's interior slab that fills it, the
-            # neighbour of every image on that side, label)
-            sides = []
-            if w_lo:
-                sides.append((slice(0, w_lo), slice(m_d, m_d + w_lo),
-                              self.neighbours[d, -1], "low"))
-            if w_hi:
-                sides.append((slice(w_lo + m_d, w_lo + m_d + w_hi),
-                              slice(w_lo, w_lo + w_hi),
-                              self.neighbours[d, +1], "high"))
-
             # Device path, phase 1: refresh the host copy of the slabs the
             # neighbours will read from each mirrored image.
             if mirrored:
-                for _, interior, _, _ in sides:
-                    host[slab(interior, on_device)] = \
-                        device[slab(interior, on_device)]
+                for _, source, _ in sides:
+                    host[source + (on_device,)] = device[source + (on_device,)]
                 self._count("d2h", mirrored, len(sides))
                 self._log.append([("d2h", mirrored, (name, d))] * len(sides))
 
@@ -852,16 +828,16 @@ class Machine:
             # transitively because slabs span the full padded extent of the
             # other dimensions).  Gathering through the neighbour
             # permutation copies, so an image may be its own neighbour.
-            for halo, interior, neighbour, _ in sides:
-                host[slab(halo, slice(None))] = host[slab(interior, neighbour)]
-            self._log.append([("halo_fill", self.images, (name, d, side[3]))
-                              for side in sides])
+            for halo, source, side in sides:
+                host[halo + (slice(None),)] = \
+                    host[source + (self.neighbours[d, side],)]
+            self._log.append([("halo_fill", self.images, (name, d, side))
+                              for _, _, side in sides])
 
             # Device path, phase 2: push the received halo slabs back down.
             if mirrored:
-                for halo, _, _, _ in sides:
-                    device[slab(halo, on_device)] = \
-                        host[slab(halo, on_device)]
+                for halo, _, _ in sides:
+                    device[halo + (on_device,)] = host[halo + (on_device,)]
                 self._count("h2d", mirrored, len(sides))
                 self._log.append([("h2d", mirrored, (name, d))] * len(sides))
 
@@ -928,6 +904,17 @@ class _LaunchCache:
         return (on_device,) + tuple(
             (float, struct.pack("<d", v)) if type(v) is float else (type(v), v)
             for v in (env.get(n, _UNSET) for n in self.names))
+
+
+def _convert(kind, value, pos: SourcePos):
+    """``kind(value)`` for a real or integer scalar; a value that type
+    cannot hold (a NaN or an infinity as an integer, an overflow) faults."""
+    try:
+        return kind(value)
+    except (OverflowError, ValueError):
+        name = "a real" if kind in (float, np.float64) else "an integer"
+        raise RuntimeFault(ALLOC_SHAPE, f"the value {value} does not fit "
+                           f"{name}", pos) from None
 
 
 def _image_runs(images: list[int], limit: int) -> Iterator[slice]:

@@ -12,7 +12,7 @@ import lopec
 from conftest import BAD, CORPUS, GOLDEN
 from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
-from test_runtime import DIVERGENT_HALO
+from test_runtime import DIVERGENT_HALO, NOT_AN_INTEGER
 from test_sema import INTEGER_LAPLACIAN, KERNEL_SHAPES
 
 LAP = str(CORPUS / "laplacian.lope")
@@ -283,4 +283,16 @@ def test_host_sqrt_of_a_negative_value_exits_3(tmp_path, capsys):
     assert err.startswith(f"{src}:{line}:13: error[E108]: ")
     assert "sqrt of the negative value -31.5" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_real_overflow_assigned_to_an_integer_exits_3(tmp_path, capsys):
+    text = NOT_AN_INTEGER.format(line="  q = r")
+    src = tmp_path / "overflow.lope"
+    src.write_text(text)
+    line = text.splitlines().index("  q = r") + 1
+    assert main(["run", str(src), "-o", str(tmp_path / "out.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"{src}:{line}:7: error[E108]: the value inf does not "
+                   f"fit an integer\n")
     assert not (tmp_path / "out.txt").exists()

@@ -12,7 +12,7 @@ import pytest
 
 from c_eval import parse_kernel, run_work_items
 from conftest import CORPUS, GOLDEN, compile_file, compile_source
-from lopec.codegen import EmitConfig, emit_kernel_source
+from lopec.codegen import EXTENT_SYMBOLS, EmitConfig, emit_kernel_source
 from lopec.ir import StorageLayout, lower_kernel
 from lopec.runtime import Machine, RunConfig
 
@@ -101,7 +101,8 @@ def run_both(text, field, steps=1):
     """Run program in the simulator and its emitted C side by side.
 
     Returns (simulator interior, C-interpreter interior) after `steps`
-    exchange+launch rounds on one image.
+    exchange+launch rounds on one image.  The kernel takes no scalars and
+    its launch covers the interior.
     """
     result = compile_source(text)
     kname = next(iter(result.kernels))
@@ -113,23 +114,23 @@ def run_both(text, field, steps=1):
     sim = machine.gather()
 
     # Re-create the same padded block the simulator used, step by step.
-    mg, ng = field.shape
     arr = machine.arrays[ir.stored_arrays[0]]
     lay = arr.layout
     padded = np.zeros(lay.padded())
     inner = tuple(slice(lo, lo + m) for lo, m in zip(lay.lo, lay.interior))
-    padded[inner] = field
-    scalars = {"M": mg, "hlo0": lay.lo[0], "hhi0": lay.hi[0],
-               "N": ng, "hlo1": lay.lo[1], "hhi1": lay.hi[1]}
+    padded[inner] = field.reshape(lay.interior)
+    scalars = {}
+    for d, (m, lo, hi) in enumerate(zip(lay.interior, lay.lo, lay.hi)):
+        scalars.update({EXTENT_SYMBOLS[d]: m, f"hlo{d}": lo, f"hhi{d}": hi})
     for _ in range(steps):
         _wrap_cyclic(padded, lay)
         flat_in = padded.flatten(order="F")
         flat_out = flat_in.copy()
         run_work_items(ctext, {f"{ir.stored_arrays[0]}_in": flat_in,
                                f"{ir.stored_arrays[0]}_out": flat_out},
-                       scalars, (mg, ng))
+                       scalars, lay.interior)
         padded = flat_out.reshape(lay.padded(), order="F")
-    return sim, padded[inner]
+    return sim, padded[inner].reshape(sim.shape)
 
 
 def _wrap_cyclic(padded, lay):
@@ -192,3 +193,91 @@ def test_min_and_max_of_many_arguments_nest_in_c():
     field = np.random.default_rng(14).uniform(-1, 1, (6, 6))
     sim, cint = run_both(text, field)
     assert np.array_equal(sim, cint)
+
+
+ASYMMETRIC = """\
+pure concurrent subroutine k(U)
+  real, dimension(:,:), HALO({l0}:*:{h0}, {l1}:*:{h1}) :: U
+{body}
+end subroutine k
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], &
+        HALO({l0}:*:{h0}, {l1}:*:{h1}) :: U
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(U(1-{l0}:M+{h0}, 1-{l1}:N+{h1})[MP,*])
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call k( U(i,j)[device] )
+    end do
+  end do
+end program main
+"""
+
+RANK1 = """\
+pure concurrent subroutine k(A)
+  real, dimension(:), HALO({l0}:*:{h0}) :: A
+{body}
+end subroutine k
+
+program main
+  real, allocatable, dimension(:), codimension[:], HALO({l0}:*:{h0}) :: A
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(A(1-{l0}:M+{h0})[*])
+  do it = 1, nsteps
+    call HALO_TRANSFER(A, BC=CYCLIC)
+    do concurrent (i=1:M) [[device]]
+      call k( A(i)[device] )
+    end do
+  end do
+end program main
+"""
+
+
+def _footprint_body(rng, array, widths):
+    """A random sum over offsets within ``widths``, one (lo, hi) pair per
+    dimension, that reaches both ends of every nonzero width."""
+    offsets = [tuple(rng.randint(-lo, hi) for lo, hi in widths)
+               for _ in range(rng.randrange(1, 4))]
+    for d, (lo, hi) in enumerate(widths):
+        for o in (-lo, hi):
+            if o:
+                offsets.append(tuple(o if e == d else 0
+                                     for e in range(len(widths))))
+    terms = [f"{rng.uniform(0.1, 1.9):.3f}*{array}("
+             + ",".join(f"{o:+d}" if o else "0" for o in offs) + ")"
+             for offs in offsets]
+    return f"  {array}({','.join('0' * len(widths))}) = " + " + ".join(terms)
+
+
+@pytest.mark.parametrize("widths", [((1, 2), (2, 0)), ((0, 3), (1, 1)),
+                                    ((2, 0), (0, 2)), ((3, 1), (0, 0))],
+                         ids=str)
+def test_asymmetric_halo_emitted_c_equals_simulator(widths):
+    (l0, h0), (l1, h1) = widths
+    rng = random.Random(sum(map(sum, widths)))
+    nrng = np.random.default_rng(l0 * 8 + h0 * 4 + l1 * 2 + h1)
+    for _ in range(5):
+        text = ASYMMETRIC.format(l0=l0, h0=h0, l1=l1, h1=h1,
+                                 body=_footprint_body(rng, "U", widths))
+        field = nrng.uniform(-1, 1, (5, 4))
+        sim, cint = run_both(text, field, steps=2)
+        assert np.array_equal(sim, cint), text
+
+
+@pytest.mark.parametrize("widths", [(2, 1), (0, 3), (1, 0)], ids=str)
+def test_rank1_emitted_c_equals_simulator(widths):
+    lo, hi = widths
+    rng = random.Random(lo * 4 + hi)
+    nrng = np.random.default_rng(lo * 4 + hi)
+    for _ in range(5):
+        text = RANK1.format(l0=lo, h0=hi,
+                            body=_footprint_body(rng, "A", [widths]))
+        field = nrng.uniform(-1, 1, (7, 1))
+        sim, cint = run_both(text, field, steps=2)
+        assert np.array_equal(sim, cint), text

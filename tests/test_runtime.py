@@ -17,6 +17,7 @@ import pytest
 from conftest import CORPUS, compile_file, compile_source
 from lopec.diagnostics import RuntimeFault
 from lopec.ir import Workspace, lower_kernel, run_body
+from lopec import runtime
 from lopec.runtime import Machine, RunConfig, oracle_step
 
 
@@ -556,6 +557,57 @@ end program main
     assert "conform" in exc.value.message
 
 
+NOT_AN_INTEGER = """\
+pure concurrent subroutine k(U, c)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  integer :: c
+  U(0,0) = U(0,0) + c
+end subroutine k
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  real :: r
+  integer :: q
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  r = 1.0e300 * 1.0e300
+{line}
+end program main
+"""
+
+
+@pytest.mark.parametrize("line,value,at", [
+    ("  q = r", "inf", (0, 7)),
+    ("  q = r - r", "nan", (0, 7)),
+    ("  q = 0.5 - r", "-inf", (0, 7)),
+    ("""  do concurrent (i=1:M, j=1:N) [[device]]
+    call k( U(i,j)[device], r )
+  end do""", "inf", (1, 29)),
+    ("""  do concurrent (i=1:M, j=1:N) [[device]]
+    call k( U(i,j)[device], 1.0e300 )
+  end do""", "1e+300", (1, 29)),
+    ("""  q = 3037000500
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call k( U(i,j)[device], q*q )
+  end do""", "9223372037000250000", (2, 29)),
+    ("  r = 1" + "0" * 400, "1" + "0" * 400, (0, 7)),
+], ids=["inf", "nan", "-inf", "kernel-inf", "kernel-1e300", "kernel-int",
+        "real"])
+def test_a_value_out_of_its_scalar_type_faults_at_its_expression(line,
+                                                                 value, at):
+    """A real assigned to an integer, or a value passed to an integer
+    kernel scalar, that has no 64-bit integer value; and an integer too
+    large for a real."""
+    fault = fault_of(NOT_AN_INTEGER.format(line=line), np.zeros((4, 4)),
+                     images=2)
+    assert fault.code == "E108"
+    kind = "a real" if line.startswith("  r =") else "an integer"
+    assert fault.message == f"the value {value} does not fit {kind}"
+    first = NOT_AN_INTEGER.splitlines().index("{line}") + 1
+    assert (fault.pos.line, fault.pos.col) == (first + at[0], at[1])
+
+
 def test_fault_rendering_includes_position_and_code():
     text = """\
 program main
@@ -990,6 +1042,42 @@ def test_halo_many_images_work_counts():
     assert machine.events == events
     events.clear()
     assert len(machine.events) == 32178
+
+
+def test_benchmark_wrappers_still_see_the_runtime(monkeypatch):
+    """``perfbench/run.py`` counts ``ir.run_body_calls`` by wrapping the
+    module global ``lopec.runtime.run_body``, and reads the primary
+    array's layout through ``lo``, ``hi``, ``interior``, ``rank``,
+    ``padded()`` and ``count()``.  A launch that bypassed the global would
+    silently zero the benchmark's count."""
+    calls = []
+    unwrapped = runtime.run_body
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return unwrapped(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "run_body", counting)
+    result = compile_file(CORPUS / "upwind.lope")
+    field = np.random.default_rng(3).standard_normal((32, 32))
+    machine = Machine(result, RunConfig(images=8, grid_rows=2, devices=1,
+                                        steps=5), field)
+    stacked = []
+    launch = machine._launch_vector
+
+    def spy(kir, ranges, images, *rest):
+        stacked.append(images)
+        launch(kir, ranges, images, *rest)
+
+    machine._launch_vector = spy
+    machine.run()
+    assert stacked == [slice(0, 8)] * 5
+    assert calls == ["drift2"] * len(stacked)
+    assert sum(c["launches"] for c in machine.counters.values()) == 40
+    layout = machine.arrays[machine.primary.name].layout
+    assert (layout.interior, layout.lo, layout.hi, layout.rank) == (
+        (8, 16), (2, 1), (0, 1), 2)
+    assert layout.padded() == (10, 18) and layout.count() == 180
 
 
 def test_stacked_slabs_are_capped():
