@@ -9,14 +9,16 @@ Fortran-flavoured lexical rules:
 * physical line ends otherwise produce NEWLINE tokens, which terminate
   statements.
 
-Tokens carry their 1-based source position.  Unknown characters raise
-``LexError`` (code E001) at the offending position; the lexer never returns
-a partial stream.
+``tokenize`` returns ``Tokens``: parallel lists of kinds, texts and 1-based
+lines and columns, with no object per token; indexing or iterating it
+gives ``Token`` views.  Unknown characters raise ``LexError`` (code E001) at
+the offending position; the lexer never returns a partial stream.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -66,23 +68,53 @@ class Token(NamedTuple):
     text: str
     pos: SourcePos
 
-    def is_kw(self, word: str) -> bool:
-        return self.kind is TokenKind.KW and self.text == word
-
     def __repr__(self) -> str:  # compact, for test failure readability
         return f"{self.kind.name}({self.text!r}@{self.pos.line}:{self.pos.col})"
 
 
-# Every group but real and int starts with its own set of characters, so
-# the groups are tried most frequent first; within a group the longest
+class Tokens(Sequence):
+    """A token stream as four parallel lists, one entry per token.
+
+    Strings, small ints and enum members are objects the garbage collector
+    never tracks, so a stream costs four tracked lists however long it is;
+    a ``Token`` per entry is built only when the stream is indexed or
+    iterated.  The parser reads the lists directly."""
+
+    __slots__ = ("filename", "kinds", "texts", "lines", "cols")
+
+    def __init__(self, filename: str):
+        self.filename = filename
+        self.kinds: list[TokenKind] = []
+        self.texts: list[str] = []
+        self.lines: list[int] = []
+        self.cols: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Token(self.kinds[i], self.texts[i], self.pos(i))
+
+    def pos(self, i: int) -> SourcePos:
+        # tuple.__new__ skips the NamedTuple constructor
+        return tuple.__new__(SourcePos,
+                             (self.filename, self.lines[i], self.cols[i]))
+
+
+# Every token group but real and int starts with its own set of characters,
+# so the groups are tried most frequent first; within a group the longest
 # alternative comes first, so maximal munch wins ([[ before [, == before =),
-# and reals come before ints.  ``cont`` is a whole trailing continuation:
+# and reals come before ints.  Blanks and comments before a token are part
+# of its match and never backtracked into, and ``end`` is the empty match
+# at the end of the text.  ``cont`` is a whole trailing continuation:
 # the '&', blanks, an optional comment, the line break, leading blanks on
 # the next line and an optional leading '&'.  A lone '&' and any character
 # no other group takes are errors.
 _TOKEN_RE = re.compile(r"""
-    (?P<punct>\[\[|\]\]|::|==|/=|[()\[\],:+\-*/=<>])
-  | (?P<skip>[ \t\r]+|![^\n]*)
+  [ \t\r]*+(?:![^\n]*+)?+
+  (?:(?P<punct>\[\[|\]\]|::|==|/=|[()\[\],:+\-*/=<>])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<real>(?:\d+\.\d*|\.\d+)(?:[eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
   | (?P<int>\d+)
@@ -90,7 +122,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<cont>&[ \t\r]*(?:![^\n]*)?\n[ \t\r]*&?)
   | (?P<amp>&)
   | (?P<string>"[^"\n]*")
-  | (?P<bad>.)
+  | (?P<end>\Z)
+  | (?P<bad>.))
 """, re.VERBOSE)
 
 _PUNCT = {
@@ -105,46 +138,49 @@ _PUNCT = {
 }
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Convert source text into a token list ending in a single EOF token."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__          # skips the NamedTuple constructors
+def tokenize(text: str, filename: str = "<input>") -> Tokens:
+    """Convert source text into a token stream ending in a single EOF token."""
+    tokens = Tokens(filename)
+    kinds, texts = tokens.kinds.append, tokens.texts.append
+    lines, cols = tokens.lines.append, tokens.cols.append
     KW, IDENT, INT = TokenKind.KW, TokenKind.IDENT, TokenKind.INT
     line = 1
     line_start = 0
     for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
-        if group == "skip":
+        lexeme = m[group]
+        if group == "cont":     # joins the lines: no NEWLINE token
+            line += 1
+            line_start = text.index("\n", m.end() - len(lexeme)) + 1
             continue
-        lexeme = m.group()
-        pos = new(SourcePos, (filename, line, m.start() - line_start + 1))
+        col = m.end() - len(lexeme) - line_start + 1
+        lines(line)
+        cols(col)
         if group == "punct":
-            append(new(Token, (_PUNCT[lexeme], lexeme, pos)))
+            kinds(_PUNCT[lexeme])
         elif group == "ident":
-            word = lexeme.lower()
-            append(new(Token, (KW if word in KEYWORDS else IDENT, word, pos)))
+            lexeme = lexeme.lower()
+            kinds(KW if lexeme in KEYWORDS else IDENT)
         elif group == "int":
-            append(new(Token, (INT, lexeme, pos)))
-        elif group == "real":
-            append(new(Token, (TokenKind.REAL, lexeme, pos)))
+            kinds(INT)
         elif group == "newline":
-            append(new(Token, (TokenKind.NEWLINE, lexeme, pos)))
+            kinds(TokenKind.NEWLINE)
             line += 1
             line_start = m.end()
-        elif group == "cont":    # joins the lines: no NEWLINE token
-            line += 1
-            line_start = text.index("\n", m.start()) + 1
+        elif group == "real":
+            kinds(TokenKind.REAL)
+        elif group == "end":    # after blanks, an empty end match follows
+            kinds(TokenKind.EOF)
+            texts(lexeme)
+            break
         elif group == "string":
-            append(new(Token, (TokenKind.STRING, lexeme[1:-1], pos)))
-        elif group == "amp":
-            raise LexError(error(
-                LEX_ERROR, pos, "line continuation '&' not at end of line"))
+            kinds(TokenKind.STRING)
+            lexeme = lexeme[1:-1]
         else:
-            raise LexError(error(
-                LEX_ERROR, pos, f"illegal character {lexeme!r}"))
-    append(Token(TokenKind.EOF, "",
-                 SourcePos(filename, line, len(text) - line_start + 1)))
+            raise LexError(error(LEX_ERROR, SourcePos(filename, line, col), (
+                "line continuation '&' not at end of line" if group == "amp"
+                else f"illegal character {lexeme!r}")))
+        texts(lexeme)
     return tokens
 
 

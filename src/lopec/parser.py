@@ -1,9 +1,15 @@
 """Recursive-descent parser producing the AST.
 
-One pass over the token stream, aborting on the first syntax error with a
-positioned ``ParseError`` (code E002).  ``parse_source`` is the convenience
-entry point that tokenizes and parses, returning ``(program, diagnostics)``
-instead of raising.
+One pass over the lexer's parallel token lists (``lexer.Tokens``), aborting
+on the first syntax error with a positioned ``ParseError`` (code E002).
+Every parsing function takes the lists and a cursor ``i`` and returns what
+it parsed with the cursor after it, so the cursor lives in locals and no
+per-token object is built; a ``SourcePos`` is made only for an AST node or
+a diagnostic.  Expressions are parsed by precedence climbing into
+left-associative trees; one deeper than ``MAX_EXPR_DEPTH`` levels is an
+E002 error, so later stages may recurse over every tree they are given.
+``parse_source`` is the convenience entry point that tokenizes and parses,
+returning ``(program, diagnostics)`` instead of raising.
 
 Context matters for array references: inside kernels a parenthesized
 reference must use signed integer literal offsets (``U(-1,0)``), while host
@@ -22,105 +28,123 @@ from .ast import (Allocate, Assign, AssignSubimage, Bin, Call, Cmp, ConcRange,
                   IntLit, KernelCall, KernelDef, MirrorAssign, Neg, OffsetRef,
                   Program, RealLit, SectionRef, Stmt, TypeDecl)
 from .diagnostics import PARSE_ERROR, LexError, ParseError, error
-from .lexer import Token, TokenKind, real_value, tokenize
+from .lexer import TokenKind, Tokens, real_value, tokenize
 
 # Functions callable in host expressions; kernels restrict further (checked
 # semantically so the error code can be precise).
 INTRINSICS = frozenset({"this_image", "abs", "min", "max", "sqrt"})
 KERNEL_INTRINSICS = frozenset({"abs", "min", "max", "sqrt"})
 
+# The deepest expression accepted, in levels: a name, literal, offset
+# reference or ':' is one level, and each operator, sign, call, section
+# and parenthesized group adds one above its deepest operand.  Checks,
+# lowering, codegen, the plan printer, the runtime and the AST dump all
+# recurse over expression trees, and each handles this depth within
+# Python's default recursion limit; generated kernels of 40 terms reach
+# about 45 levels.
+MAX_EXPR_DEPTH = 128
+
+KW, IDENT = TokenKind.KW, TokenKind.IDENT
+INT, REAL = TokenKind.INT, TokenKind.REAL
+LPAREN, RPAREN = TokenKind.LPAREN, TokenKind.RPAREN
+LBRACK, RBRACK = TokenKind.LBRACK, TokenKind.RBRACK
+COMMA, COLON, ASSIGN = TokenKind.COMMA, TokenKind.COLON, TokenKind.ASSIGN
+PLUS, MINUS = TokenKind.PLUS, TokenKind.MINUS
+STAR, SLASH = TokenKind.STAR, TokenKind.SLASH
+NEWLINE, EOF = TokenKind.NEWLINE, TokenKind.EOF
+
+_COMPARISONS = (TokenKind.EQ, TokenKind.NE, TokenKind.LT, TokenKind.GT)
 _BASE_TYPES = ("real", "integer", "logical")
 # (opening, what it is expected as, closing, what it is expected as)
-_PARENS = (TokenKind.LPAREN, "'('", TokenKind.RPAREN, "')'")
-_BRACKS = (TokenKind.LBRACK, "'['", TokenKind.RBRACK, "']'")
+_PARENS = (LPAREN, "'('", RPAREN, "')'")
+_BRACKS = (LBRACK, "'['", RBRACK, "']'")
 
 
-class _Stream:
-    def __init__(self, tokens: list[Token]):
-        # ``next`` never moves past the first EOF, so with two more EOFs
-        # ``peek`` looks up to two tokens ahead without clamping
-        self.toks = tokens + tokens[-1:] * 2
-        self.i = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind is not TokenKind.EOF:
-            self.i += 1
-        return t
-
-    def at(self, kind: TokenKind) -> bool:
-        return self.toks[self.i].kind is kind
-
-    def at_kw(self, word: str) -> bool:
-        return self.toks[self.i].is_kw(word)
-
-    def fail(self, message: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.peek()
-        shown = "end of input" if t.kind is TokenKind.EOF else repr(t.text)
-        return ParseError(error(PARSE_ERROR, t.pos, f"{message}, found {shown}"))
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        if not self.at(kind):
-            raise self.fail(f"expected {what}")
-        return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        if not self.at_kw(word):
-            raise self.fail(f"expected '{word}'")
-        return self.next()
-
-    def accept(self, kind: TokenKind) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
-
-    def skip_newlines(self) -> None:
-        while self.at(TokenKind.NEWLINE):
-            self.next()
-
-    def end_stmt(self) -> None:
-        if self.at(TokenKind.EOF):
-            return
-        self.expect(TokenKind.NEWLINE, "end of statement")
-        self.skip_newlines()
-
-    def list(self, item, *args, bracket: tuple | None = None,
-             empty: bool = False) -> list:
-        """``item(self, *args)`` separated by commas, between ``bracket``
-        (``_PARENS`` or ``_BRACKS``) when given; ``empty`` allows ``()``.
-        Items are module-level parsers: a closure built per call costs
-        measurable parse time."""
-        toks = self.toks
-        if bracket is not None:
-            opening, opened, close, closed = bracket
-            self.expect(opening, opened)
-            if empty and toks[self.i].kind is close:
-                self.i += 1
-                return []
-        items = [item(self, *args)]
-        while toks[self.i].kind is TokenKind.COMMA:
-            self.i += 1
-            items.append(item(self, *args))
-        if bracket is not None:
-            self.expect(close, closed)
-        return items
-
-    def body(self, stmt, closing: str) -> list[Stmt]:
-        """Statements parsed by ``stmt(self)`` up to ``end <closing>``."""
-        stmts = []
-        while not self.at_kw("end"):
-            stmts.append(stmt(self))
-            self.end_stmt()
-        self.expect_kw("end")
-        self.expect_kw(closing)
-        return stmts
+# ---------------------------------------------------------------------------
+# Token helpers: each takes the stream and a cursor
 
 
-def _name(ts: _Stream, what: str) -> str:
-    return ts.expect(TokenKind.IDENT, what).text
+def _fail(t: Tokens, i: int, message: str) -> ParseError:
+    shown = "end of input" if t.kinds[i] is EOF else repr(t.texts[i])
+    return ParseError(error(PARSE_ERROR, t.pos(i), f"{message}, found {shown}"))
+
+
+def _at_kw(t: Tokens, i: int, word: str) -> bool:
+    return t.kinds[i] is KW and t.texts[i] == word
+
+
+def _expect(t: Tokens, i: int, kind: TokenKind, what: str) -> int:
+    if t.kinds[i] is not kind:
+        raise _fail(t, i, f"expected {what}")
+    return i + 1
+
+
+def _expect_kw(t: Tokens, i: int, word: str) -> int:
+    if not _at_kw(t, i, word):
+        raise _fail(t, i, f"expected '{word}'")
+    return i + 1
+
+
+def _take(t: Tokens, i: int, kind: TokenKind, what: str) -> tuple[str, int]:
+    """The text of a ``kind`` token at ``i``."""
+    if t.kinds[i] is not kind:
+        raise _fail(t, i, f"expected {what}")
+    return t.texts[i], i + 1
+
+
+def _int(t: Tokens, i: int, what: str) -> tuple[int, int]:
+    """The value of an integer literal at ``i``."""
+    if t.kinds[i] is not INT:
+        raise _fail(t, i, f"expected {what}")
+    text = t.texts[i]
+    try:
+        return int(text), i + 1
+    except ValueError:      # past the interpreter's digit limit
+        raise ParseError(error(
+            PARSE_ERROR, t.pos(i),
+            f"integer literal of {len(text)} digits is too long")) from None
+
+
+def _skip_newlines(t: Tokens, i: int) -> int:
+    while t.kinds[i] is NEWLINE:
+        i += 1
+    return i
+
+
+def _end_stmt(t: Tokens, i: int) -> int:
+    if t.kinds[i] is EOF:
+        return i
+    return _skip_newlines(t, _expect(t, i, NEWLINE, "end of statement"))
+
+
+def _list(t: Tokens, i: int, item, *args, bracket: tuple | None = None,
+          empty: bool = False) -> tuple[list, int]:
+    """``item(t, i, *args)`` separated by commas, between ``bracket``
+    (``_PARENS`` or ``_BRACKS``) when given; ``empty`` allows ``()``."""
+    kinds = t.kinds
+    if bracket is not None:
+        opening, opened, close, closed = bracket
+        i = _expect(t, i, opening, opened)
+        if empty and kinds[i] is close:
+            return [], i + 1
+    x, i = item(t, i, *args)
+    items = [x]
+    while kinds[i] is COMMA:
+        x, i = item(t, i + 1, *args)
+        items.append(x)
+    if bracket is not None:
+        i = _expect(t, i, close, closed)
+    return items, i
+
+
+def _body(t: Tokens, i: int, stmt, closing: str) -> tuple[list[Stmt], int]:
+    """Statements parsed by ``stmt(t, i)`` up to ``end <closing>``."""
+    stmts = []
+    while not _at_kw(t, i, "end"):
+        s, i = stmt(t, i)
+        stmts.append(s)
+        i = _end_stmt(t, i)
+    return stmts, _expect_kw(t, _expect_kw(t, i, "end"), closing)
 
 
 # ---------------------------------------------------------------------------
@@ -139,448 +163,387 @@ def parse_source(text: str, filename: str = "<input>"):
         return None, [e.diagnostic]
 
 
-def parse(tokens: list[Token]) -> Program:
+def parse(tokens: Tokens) -> Program:
     """Parse a full translation unit: kernel definitions, then the main program."""
-    ts = _Stream(tokens)
-    ts.skip_newlines()
+    t = tokens
+    i = first = _skip_newlines(t, 0)
     kernels: list[KernelDef] = []
-    first = ts.peek()
-    while ts.at_kw("pure") or ts.at_kw("subroutine"):
-        kernels.append(_parse_kernel(ts))
-        ts.skip_newlines()
-    if not ts.at_kw("program"):
-        raise ts.fail("expected 'program' or a kernel definition")
-    decls, body, prog_pos = _parse_main(ts)
-    ts.skip_newlines()
-    if not ts.at(TokenKind.EOF):
-        raise ts.fail("expected end of file after the main program")
-    return Program(first.pos if kernels else prog_pos, kernels, decls, body)
+    while _at_kw(t, i, "pure") or _at_kw(t, i, "subroutine"):
+        kernel, i = _parse_kernel(t, i)
+        kernels.append(kernel)
+        i = _skip_newlines(t, i)
+    if not _at_kw(t, i, "program"):
+        raise _fail(t, i, "expected 'program' or a kernel definition")
+    _, i = _take(t, i + 1, IDENT, "program name")
+    decls, i = _parse_decl_block(t, _end_stmt(t, i))
+    body, i = _body(t, i, _parse_host_stmt, "program")
+    if t.kinds[i] is IDENT:
+        i += 1
+    i = _skip_newlines(t, i)
+    if t.kinds[i] is not EOF:
+        raise _fail(t, i, "expected end of file after the main program")
+    return Program(t.pos(first), kernels, decls, body)
 
 
 # ---------------------------------------------------------------------------
-# Program units
+# Kernels and declarations
 
 
-def _parse_kernel(ts: _Stream) -> KernelDef:
-    start = ts.peek()
-    ts.expect_kw("pure")
-    ts.expect_kw("concurrent")
-    ts.expect_kw("subroutine")
-    name = ts.expect(TokenKind.IDENT, "kernel name").text
-    params = ts.list(_name, "parameter name", bracket=_PARENS)
-    ts.end_stmt()
-    decls = _parse_decl_block(ts)
-    body = ts.body(_parse_kernel_stmt, "subroutine")
-    if ts.at(TokenKind.IDENT):
-        endname = ts.next()
-        if endname.text != name:
-            raise ts.fail(f"mismatched kernel name (expected {name!r})", endname)
-    ts.end_stmt()
-    return KernelDef(start.pos, name, params, decls, body)
+def _parse_kernel(t: Tokens, i: int) -> tuple[KernelDef, int]:
+    start = i
+    for word in ("pure", "concurrent", "subroutine"):
+        i = _expect_kw(t, i, word)
+    name, i = _take(t, i, IDENT, "kernel name")
+    params, i = _list(t, i, _take, IDENT, "parameter name", bracket=_PARENS)
+    decls, i = _parse_decl_block(t, _end_stmt(t, i))
+    body, i = _body(t, i, _parse_kernel_stmt, "subroutine")
+    if t.kinds[i] is IDENT:
+        if t.texts[i] != name:
+            raise _fail(t, i, f"mismatched kernel name (expected {name!r})")
+        i += 1
+    return KernelDef(t.pos(start), name, params, decls, body), _end_stmt(t, i)
 
 
-def _parse_main(ts: _Stream):
-    start = ts.expect_kw("program")
-    ts.expect(TokenKind.IDENT, "program name")
-    ts.end_stmt()
-    decls = _parse_decl_block(ts)
-    body = ts.body(_parse_host_stmt, "program")
-    if ts.at(TokenKind.IDENT):
-        ts.next()
-    return decls, body, start.pos
-
-
-# ---------------------------------------------------------------------------
-# Declarations
-
-
-def _parse_decl_block(ts: _Stream) -> list[TypeDecl]:
+def _parse_decl_block(t: Tokens, i: int) -> tuple[list[TypeDecl], int]:
     decls = []
-    while any(ts.at_kw(b) for b in _BASE_TYPES):
-        decls.append(_parse_declaration(ts))
-        ts.end_stmt()
-    return decls
+    while t.kinds[i] is KW and t.texts[i] in _BASE_TYPES:
+        attrs = DeclAttrs()
+        j = i + 1
+        while t.kinds[j] is COMMA:
+            j = _parse_attr(t, j + 1, attrs)
+        names, j = _list(t, _expect(t, j, TokenKind.DCOLON, "'::'"),
+                         _take, IDENT, "entity name")
+        decls.append(TypeDecl(t.pos(i), t.texts[i], attrs, names))
+        i = _end_stmt(t, j)
+    return decls, i
 
 
-def _parse_declaration(ts: _Stream) -> TypeDecl:
-    base_tok = ts.next()
-    attrs = DeclAttrs()
-    while ts.accept(TokenKind.COMMA):
-        _parse_attr(ts, attrs)
-    ts.expect(TokenKind.DCOLON, "'::'")
-    names = ts.list(_name, "entity name")
-    return TypeDecl(base_tok.pos, base_tok.text, attrs, names)
-
-
-def _parse_attr(ts: _Stream, attrs: DeclAttrs) -> None:
-    tok = ts.peek()
-    if tok.is_kw("allocatable"):
-        ts.next()
-        attrs.allocatable = True
-    elif tok.is_kw("pure"):
-        ts.next()
-        attrs.pure = True
-    elif tok.is_kw("concurrent"):
-        ts.next()
-        attrs.concurrent = True
-    elif tok.is_kw("dimension"):
-        ts.next()
-        attrs.dim_count = _deferred_count(ts, _PARENS, "shape")
-    elif tok.is_kw("codimension"):
-        ts.next()
-        attrs.corank = _deferred_count(ts, _BRACKS, "coshape")
-    elif tok.is_kw("halo"):
-        ts.next()
-        attrs.halo = HaloSpec(tuple(
-            ts.list(_parse_halo_dim, bracket=_PARENS)))
+def _parse_attr(t: Tokens, i: int, attrs: DeclAttrs) -> int:
+    word = t.texts[i] if t.kinds[i] is KW else None
+    if word in ("allocatable", "pure", "concurrent"):
+        setattr(attrs, word, True)
+        return i + 1
+    if word == "dimension":         # dimension(:,...)
+        colons, i = _list(t, i + 1, _take, COLON, "':' (deferred shape)",
+                          bracket=_PARENS)
+        attrs.dim_count = len(colons)
+    elif word == "codimension":     # codimension[:,...]
+        colons, i = _list(t, i + 1, _take, COLON, "':' (deferred coshape)",
+                          bracket=_BRACKS)
+        attrs.corank = len(colons)
+    elif word == "halo":
+        dims, i = _list(t, i + 1, _parse_halo_dim, bracket=_PARENS)
+        attrs.halo = HaloSpec(tuple(dims))
     else:
-        raise ts.fail("expected a declaration attribute")
+        raise _fail(t, i, "expected a declaration attribute")
+    return i
 
 
-def _deferred_count(ts: _Stream, bracket: tuple, what: str) -> int:
-    """Length of a bracketed ``:,...`` list: ``dimension(:,:)`` and
-    ``codimension[:,:]``."""
-    return len(ts.list(_Stream.expect, TokenKind.COLON,
-                       f"':' (deferred {what})", bracket=bracket))
+def _parse_halo_dim(t: Tokens, i: int) -> tuple[HaloDim, int]:
+    if t.kinds[i] is COLON:
+        return HaloDim(None, None), i + 1
+    lo, i = _halo_width(t, i, "halo width or ':'")
+    i = _expect(t, _expect(t, i, COLON, "':'"), STAR,
+                "'*' (interior placeholder)")
+    hi, i = _halo_width(t, _expect(t, i, COLON, "':'"), "halo width")
+    return HaloDim(lo, hi), i
 
 
-def _parse_halo_dim(ts: _Stream) -> HaloDim:
-    if ts.accept(TokenKind.COLON):
-        return HaloDim(None, None)
-    if ts.at(TokenKind.MINUS):
-        raise ts.fail("halo extents must be non-negative")
-    lo = int(ts.expect(TokenKind.INT, "halo width or ':'").text)
-    ts.expect(TokenKind.COLON, "':'")
-    ts.expect(TokenKind.STAR, "'*' (interior placeholder)")
-    ts.expect(TokenKind.COLON, "':'")
-    if ts.at(TokenKind.MINUS):
-        raise ts.fail("halo extents must be non-negative")
-    hi = int(ts.expect(TokenKind.INT, "halo width").text)
-    return HaloDim(lo, hi)
+def _halo_width(t: Tokens, i: int, what: str) -> tuple[int, int]:
+    if t.kinds[i] is MINUS:
+        raise _fail(t, i, "halo extents must be non-negative")
+    return _int(t, i, what)
+
+
+def _parse_kernel_stmt(t: Tokens, i: int) -> tuple[Stmt, int]:
+    name, j = _take(t, i, IDENT, "assignment target")
+    if t.kinds[j] is LPAREN:
+        offsets, j = _offsets(t, j)
+        lhs: Expr = OffsetRef(t.pos(i), name, offsets)
+    else:
+        lhs = Ident(t.pos(i), name)
+    rhs, _, j = _expr(t, _expect(t, j, ASSIGN, "'='"), True, 0)
+    return Assign(lhs.pos, lhs, rhs), j
+
+
+def _offsets(t: Tokens, i: int) -> tuple[tuple[int, ...], int]:
+    """Signed integer literals separated by commas, in parentheses."""
+    kinds = t.kinds
+    i = _expect(t, i, LPAREN, "'('")
+    offsets = []
+    while True:
+        sign = kinds[i]
+        if sign is MINUS or sign is PLUS:
+            i += 1
+        value, i = _int(t, i, "integer offset")
+        offsets.append(-value if sign is MINUS else value)
+        if kinds[i] is not COMMA:
+            return tuple(offsets), _expect(t, i, RPAREN, "')'")
+        i += 1
 
 
 # ---------------------------------------------------------------------------
-# Kernel statements and expressions
+# Expressions (shared by kernel and host contexts).  Each returns the
+# tree, its depth in levels (see MAX_EXPR_DEPTH) and the cursor after it;
+# ``depth`` is the number of levels above it in the enclosing expression.
 
 
-def _parse_kernel_stmt(ts: _Stream) -> Stmt:
-    name_tok = ts.expect(TokenKind.IDENT, "assignment target")
-    if ts.at(TokenKind.LPAREN):
-        lhs: Expr = _parse_offset_ref(ts, name_tok)
-    else:
-        lhs = Ident(name_tok.pos, name_tok.text)
-    ts.expect(TokenKind.ASSIGN, "'='")
-    rhs = _parse_expr(ts, kernel=True)
-    return Assign(name_tok.pos, lhs, rhs)
+def _too_deep(t: Tokens, i: int) -> ParseError:
+    return ParseError(error(
+        PARSE_ERROR, t.pos(i),
+        f"expression nested deeper than {MAX_EXPR_DEPTH} levels"))
 
 
-def _parse_offset_ref(ts: _Stream, name_tok: Token) -> OffsetRef:
-    offsets = ts.list(_parse_offset, bracket=_PARENS)
-    return OffsetRef(name_tok.pos, name_tok.text, tuple(offsets))
+def _expr(t: Tokens, i: int, kernel: bool, depth: int, min_prec: int = 1):
+    """Operands joined by binary operators of precedence ``min_prec`` or
+    higher ('+' and '-' 1, '*' and '/' 2), grouped to the left."""
+    left, height, i = _operand(t, i, kernel, depth)
+    kinds = t.kinds
+    while True:
+        kind = kinds[i]
+        if kind is STAR or kind is SLASH:   # nothing binds tighter
+            right, h, j = _operand(t, i + 1, kernel, depth + 1)
+        elif (kind is PLUS or kind is MINUS) and min_prec == 1:
+            right, h, j = _expr(t, i + 1, kernel, depth + 1, 2)
+        else:
+            return left, height, i
+        height = max(height, h) + 1
+        if depth + height > MAX_EXPR_DEPTH:
+            raise _too_deep(t, i)
+        left = Bin(left.pos, t.texts[i], left, right)
+        i = j
 
 
-def _parse_offset(ts: _Stream) -> int:
-    sign = 1
-    if ts.accept(TokenKind.MINUS):
-        sign = -1
-    elif ts.accept(TokenKind.PLUS):
-        sign = 1
-    tok = ts.expect(TokenKind.INT, "integer offset")
-    return sign * int(tok.text)
+def _operand(t: Tokens, i: int, kernel: bool, depth: int):
+    """A signed operand, literal, parenthesized expression, name,
+    reference or call."""
+    if depth >= MAX_EXPR_DEPTH:
+        raise _too_deep(t, i)
+    kind = t.kinds[i]
+    if kind is IDENT:
+        name = t.texts[i]
+        if t.kinds[i + 1] is not LPAREN:
+            return Ident(t.pos(i), name), 1, i + 1
+        if not kernel and name not in INTRINSICS:
+            return _section(t, i, True, depth)
+        if kernel and name not in KERNEL_INTRINSICS:
+            # Intrinsic names always denote calls; others prefer the
+            # literal-offset form and fall back to a call, so the semantic
+            # checker can reject unknown functions with the purity code.
+            try:
+                offsets, j = _offsets(t, i + 1)
+                return OffsetRef(t.pos(i), name, offsets), 1, j
+            except ParseError:
+                pass
+        args, height, j = _exprs(t, i + 1, kernel, depth, _PARENS, True)
+        return Call(t.pos(i), name, args), height, j
+    if kind is INT:
+        value, j = _int(t, i, "integer")
+        return IntLit(t.pos(i), value), 1, j
+    if kind is REAL:
+        return RealLit(t.pos(i), real_value(t.texts[i])), 1, i + 1
+    if kind is LPAREN:
+        inner, h, j = _expr(t, i + 1, kernel, depth + 1)
+        return inner, h + 1, _expect(t, j, RPAREN, "')'")
+    if kind is MINUS or kind is PLUS:
+        inner, h, j = _operand(t, i + 1, kernel, depth + 1)
+        return (Neg(t.pos(i), inner) if kind is MINUS else inner), h + 1, j
+    raise _fail(t, i, "expected an expression")
 
 
-# ---------------------------------------------------------------------------
-# Expressions (shared by kernel and host contexts)
+def _exprs(t: Tokens, i: int, kernel: bool, depth: int, bracket: tuple,
+           empty: bool = False, subs: bool = False):
+    """A bracketed comma-separated list of expressions (of section
+    subscripts when ``subs``) one level below ``depth``; returns the list,
+    the depth of the construct holding it, and the cursor."""
+    kinds = t.kinds
+    opening, opened, close, closed = bracket
+    i = _expect(t, i, opening, opened)
+    items = []
+    height = 1
+    if not (empty and kinds[i] is close):
+        while True:
+            if subs and kinds[i] is COLON:
+                x, h, i = FullRange(t.pos(i)), 1, i + 1
+            else:
+                x, h, i = _expr(t, i, kernel, depth + 1)
+            items.append(x)
+            height = max(height, h + 1)
+            if kinds[i] is not COMMA:
+                break
+            i += 1
+    return items, height, _expect(t, i, close, closed)
 
 
-def _parse_expr(ts: _Stream, kernel: bool) -> Expr:
-    left = _parse_term(ts, kernel)
-    while ts.at(TokenKind.PLUS) or ts.at(TokenKind.MINUS):
-        op_tok = ts.next()
-        right = _parse_term(ts, kernel)
-        left = Bin(left.pos, op_tok.text, left, right)
-    return left
-
-
-def _parse_term(ts: _Stream, kernel: bool) -> Expr:
-    left = _parse_factor(ts, kernel)
-    while ts.at(TokenKind.STAR) or ts.at(TokenKind.SLASH):
-        op_tok = ts.next()
-        right = _parse_factor(ts, kernel)
-        left = Bin(left.pos, op_tok.text, left, right)
-    return left
-
-
-def _parse_factor(ts: _Stream, kernel: bool) -> Expr:
-    if ts.at(TokenKind.MINUS):
-        tok = ts.next()
-        return Neg(tok.pos, _parse_factor(ts, kernel))
-    if ts.at(TokenKind.PLUS):
-        ts.next()
-        return _parse_factor(ts, kernel)
-    return _parse_primary(ts, kernel)
-
-
-def _parse_primary(ts: _Stream, kernel: bool) -> Expr:
-    tok = ts.peek()
-    if tok.kind is TokenKind.INT:
-        ts.next()
-        return IntLit(tok.pos, int(tok.text))
-    if tok.kind is TokenKind.REAL:
-        ts.next()
-        return RealLit(tok.pos, real_value(tok.text))
-    if tok.kind is TokenKind.LPAREN:
-        ts.next()
-        inner = _parse_expr(ts, kernel)
-        ts.expect(TokenKind.RPAREN, "')'")
-        return inner
-    if tok.kind is TokenKind.IDENT:
-        ts.next()
-        if not ts.at(TokenKind.LPAREN):
-            return Ident(tok.pos, tok.text)
-        if kernel:
-            return _parse_kernel_ref(ts, tok)
-        return _parse_host_ref(ts, tok)
-    raise ts.fail("expected an expression")
-
-
-def _parse_kernel_ref(ts: _Stream, name_tok: Token) -> Expr:
-    # Intrinsic names always denote calls.  Otherwise prefer the
-    # literal-offset form and fall back to a call so the semantic checker
-    # can reject unknown functions with the kernel-purity code.
-    mark = ts.i
-    if name_tok.text not in KERNEL_INTRINSICS:
-        try:
-            return _parse_offset_ref(ts, name_tok)
-        except ParseError:
-            ts.i = mark
-    return _parse_function_call(ts, name_tok, True)
-
-
-def _parse_host_ref(ts: _Stream, name_tok: Token) -> Expr:
-    if name_tok.text in INTRINSICS:
-        return _parse_function_call(ts, name_tok, False)
-    return _parse_section(ts, name_tok, allow_cosubs=True)
-
-
-def _parse_function_call(ts: _Stream, name_tok: Token, kernel: bool) -> Call:
-    args = ts.list(_parse_expr, kernel, bracket=_PARENS, empty=True)
-    return Call(name_tok.pos, name_tok.text, args)
-
-
-def _parse_section(ts: _Stream, name_tok: Token, allow_cosubs: bool) -> SectionRef:
-    subs = ts.list(_parse_section_sub, bracket=_PARENS)
+def _section(t: Tokens, i: int, allow_cosubs: bool, depth: int):
+    subs, height, j = _exprs(t, i + 1, False, depth, _PARENS, subs=True)
     cosubs = None
-    if ts.at(TokenKind.LBRACK):
+    if t.kinds[j] is LBRACK:
         if not allow_cosubs:
-            raise ts.fail("coindexed reference not allowed here")
-        cosubs = ts.list(_parse_expr, False, bracket=_BRACKS)
-    return SectionRef(name_tok.pos, name_tok.text, subs, cosubs)
-
-
-def _parse_section_sub(ts: _Stream) -> Expr:
-    if ts.at(TokenKind.COLON):
-        tok = ts.next()
-        return FullRange(tok.pos)
-    return _parse_expr(ts, kernel=False)
-
-
-def _parse_cond(ts: _Stream) -> Cmp:
-    left = _parse_expr(ts, kernel=False)
-    tok = ts.peek()
-    if tok.kind in (TokenKind.EQ, TokenKind.NE, TokenKind.LT, TokenKind.GT):
-        ts.next()
-        right = _parse_expr(ts, kernel=False)
-        return Cmp(left.pos, tok.text, left, right)
-    raise ts.fail("expected a comparison operator")
+            raise _fail(t, j, "coindexed reference not allowed here")
+        cosubs, h, j = _exprs(t, j, False, depth, _BRACKS)
+        height = max(height, h)
+    return SectionRef(t.pos(i), t.texts[i], subs, cosubs), height, j
 
 
 # ---------------------------------------------------------------------------
 # Host statements
 
 
-def _parse_host_stmt(ts: _Stream) -> Stmt:
-    tok = ts.peek()
-    if tok.is_kw("allocate"):
-        return _parse_allocate(ts)
-    if tok.is_kw("deallocate"):
-        ts.next()
-        ts.expect(TokenKind.LPAREN, "'('")
-        name = ts.expect(TokenKind.IDENT, "entity name").text
-        ts.expect(TokenKind.RPAREN, "')'")
-        return Deallocate(tok.pos, name)
-    if tok.is_kw("do"):
-        if ts.peek(1).is_kw("concurrent"):
-            return _parse_do_concurrent(ts)
-        return _parse_do_counted(ts)
-    if tok.is_kw("call"):
-        return _parse_call(ts)
-    if tok.is_kw("if"):
-        return _parse_if(ts)
-    if tok.kind is TokenKind.IDENT:
-        return _parse_host_assignment(ts)
-    raise ts.fail("expected a statement")
+def _parse_host_stmt(t: Tokens, i: int) -> tuple[Stmt, int]:
+    if t.kinds[i] is IDENT:
+        return _parse_host_assignment(t, i)
+    word = t.texts[i] if t.kinds[i] is KW else None
+    if word == "allocate":
+        return _parse_allocate(t, i)
+    if word == "deallocate":
+        name, j = _take(t, _expect(t, i + 1, LPAREN, "'('"), IDENT,
+                        "entity name")
+        return Deallocate(t.pos(i), name), _expect(t, j, RPAREN, "')'")
+    if word == "do":
+        if _at_kw(t, i + 1, "concurrent"):
+            return _parse_do_concurrent(t, i)
+        return _parse_do_counted(t, i)
+    if word == "call":
+        return _parse_call(t, i)
+    if word == "if":
+        return _parse_if(t, i)
+    raise _fail(t, i, "expected a statement")
 
 
-def _parse_allocate(ts: _Stream) -> Allocate:
-    start = ts.expect_kw("allocate")
-    ts.expect(TokenKind.LPAREN, "'('")
-    entity = ts.expect(TokenKind.IDENT, "entity name").text
-    bounds = (ts.list(_parse_alloc_bound, bracket=_PARENS)
-              if ts.at(TokenKind.LPAREN) else [])
-    cobounds = (ts.list(_parse_cobound, bracket=_BRACKS)
-                if ts.at(TokenKind.LBRACK) else [])
-    halo_src = None
-    if ts.accept(TokenKind.COMMA):
-        ts.expect_kw("halo_src")
-        ts.expect(TokenKind.ASSIGN, "'='")
-        halo_src = ts.expect(TokenKind.IDENT, "source array name").text
-    ts.expect(TokenKind.RPAREN, "')'")
-    target = None
-    if ts.at(TokenKind.DLBRACK):
-        ts.next()
-        target = ts.expect(TokenKind.IDENT, "execution-target variable").text
-        ts.expect(TokenKind.DRBRACK, "']]'")
-    return Allocate(start.pos, entity, bounds, cobounds, halo_src, target)
+def _parse_allocate(t: Tokens, i: int) -> tuple[Allocate, int]:
+    j = _expect(t, i + 1, LPAREN, "'('")
+    entity, j = _take(t, j, IDENT, "entity name")
+    bounds, cobounds = [], []
+    if t.kinds[j] is LPAREN:
+        bounds, j = _list(t, j, _parse_alloc_bound, bracket=_PARENS)
+    if t.kinds[j] is LBRACK:
+        cobounds, j = _list(t, j, _parse_cobound, bracket=_BRACKS)
+    halo_src = target = None
+    if t.kinds[j] is COMMA:
+        j = _expect(t, _expect_kw(t, j + 1, "halo_src"), ASSIGN, "'='")
+        halo_src, j = _take(t, j, IDENT, "source array name")
+    j = _expect(t, j, RPAREN, "')'")
+    if t.kinds[j] is TokenKind.DLBRACK:
+        target, j = _take(t, j + 1, IDENT, "execution-target variable")
+        j = _expect(t, j, TokenKind.DRBRACK, "']]'")
+    return Allocate(t.pos(i), entity, bounds, cobounds, halo_src, target), j
 
 
-def _parse_alloc_bound(ts: _Stream) -> tuple[Expr, Expr]:
-    first = _parse_expr(ts, kernel=False)
-    if ts.accept(TokenKind.COLON):
-        return (first, _parse_expr(ts, kernel=False))
-    return (IntLit(first.pos, 1), first)
+def _parse_alloc_bound(t: Tokens, i: int) -> tuple[tuple[Expr, Expr], int]:
+    first, _, i = _expr(t, i, False, 0)
+    if t.kinds[i] is COLON:
+        last, _, i = _expr(t, i + 1, False, 0)
+        return (first, last), i
+    return (IntLit(first.pos, 1), first), i
 
 
-def _parse_cobound(ts: _Stream):
-    if ts.at(TokenKind.STAR):
-        ts.next()
-        return "*"
-    return _parse_expr(ts, kernel=False)
+def _parse_cobound(t: Tokens, i: int):
+    if t.kinds[i] is STAR:
+        return "*", i + 1
+    bound, _, i = _expr(t, i, False, 0)
+    return bound, i
 
 
-def _parse_do_counted(ts: _Stream) -> DoCounted:
-    start = ts.expect_kw("do")
-    var = ts.expect(TokenKind.IDENT, "loop variable").text
-    ts.expect(TokenKind.ASSIGN, "'='")
-    lo = _parse_expr(ts, kernel=False)
-    ts.expect(TokenKind.COMMA, "','")
-    hi = _parse_expr(ts, kernel=False)
-    ts.end_stmt()
-    body = ts.body(_parse_host_stmt, "do")
-    return DoCounted(start.pos, var, lo, hi, body)
+def _parse_do_counted(t: Tokens, i: int) -> tuple[DoCounted, int]:
+    var, j = _take(t, i + 1, IDENT, "loop variable")
+    lo, _, j = _expr(t, _expect(t, j, ASSIGN, "'='"), False, 0)
+    hi, _, j = _expr(t, _expect(t, j, COMMA, "','"), False, 0)
+    body, j = _body(t, _end_stmt(t, j), _parse_host_stmt, "do")
+    return DoCounted(t.pos(i), var, lo, hi, body), j
 
 
-def _parse_do_concurrent(ts: _Stream) -> DoConcurrent:
-    start = ts.expect_kw("do")
-    ts.expect_kw("concurrent")
-    ranges = ts.list(_parse_conc_range, bracket=_PARENS)
-    ts.expect(TokenKind.DLBRACK, "'[[' execution target")
-    target = ts.expect(TokenKind.IDENT, "execution-target variable").text
-    ts.expect(TokenKind.DRBRACK, "']]'")
-    ts.end_stmt()
-    call_tok = ts.expect_kw("call")
-    name = ts.expect(TokenKind.IDENT, "kernel name").text
-    args = ts.list(_parse_launch_arg, bracket=_PARENS, empty=True)
-    call = KernelCall(call_tok.pos, name, args)
-    ts.end_stmt()
-    ts.expect_kw("end")
-    ts.expect_kw("do")
-    return DoConcurrent(start.pos, ranges, target, call)
+def _parse_do_concurrent(t: Tokens, i: int) -> tuple[DoConcurrent, int]:
+    ranges, j = _list(t, i + 2, _parse_conc_range, bracket=_PARENS)
+    j = _expect(t, j, TokenKind.DLBRACK, "'[[' execution target")
+    target, j = _take(t, j, IDENT, "execution-target variable")
+    call = _end_stmt(t, _expect(t, j, TokenKind.DRBRACK, "']]'"))
+    name, j = _take(t, _expect_kw(t, call, "call"), IDENT, "kernel name")
+    args, j = _list(t, j, _parse_launch_arg, bracket=_PARENS, empty=True)
+    j = _expect_kw(t, _expect_kw(t, _end_stmt(t, j), "end"), "do")
+    return DoConcurrent(t.pos(i), ranges, target,
+                        KernelCall(t.pos(call), name, args)), j
 
 
-def _parse_conc_range(ts: _Stream) -> ConcRange:
-    var_tok = ts.expect(TokenKind.IDENT, "index variable")
-    ts.expect(TokenKind.ASSIGN, "'='")
-    lo = _parse_expr(ts, kernel=False)
-    ts.expect(TokenKind.COLON, "':'")
-    hi = _parse_expr(ts, kernel=False)
-    return ConcRange(var_tok.pos, var_tok.text, lo, hi)
+def _parse_conc_range(t: Tokens, i: int) -> tuple[ConcRange, int]:
+    var, j = _take(t, i, IDENT, "index variable")
+    lo, _, j = _expr(t, _expect(t, j, ASSIGN, "'='"), False, 0)
+    hi, _, j = _expr(t, _expect(t, j, COLON, "':'"), False, 0)
+    return ConcRange(t.pos(i), var, lo, hi), j
 
 
-def _parse_launch_arg(ts: _Stream):
-    tok = ts.peek()
-    if tok.kind is TokenKind.IDENT and ts.peek(1).kind is TokenKind.LPAREN:
-        mark = ts.i
+def _parse_launch_arg(t: Tokens, i: int):
+    if t.kinds[i] is IDENT and t.kinds[i + 1] is LPAREN:
         try:
-            return _parse_element_arg(ts)
+            return _parse_element_arg(t, i)
         except ParseError:
-            ts.i = mark
-    return _parse_expr(ts, kernel=False)
+            pass
+    arg, _, i = _expr(t, i, False, 0)
+    return arg, i
 
 
-def _parse_element_arg(ts: _Stream) -> ElementArg:
-    name_tok = ts.expect(TokenKind.IDENT, "array name")
-    indices = ts.list(_name, "index variable", bracket=_PARENS)
+def _parse_element_arg(t: Tokens, i: int) -> tuple[ElementArg, int]:
+    indices, j = _list(t, i + 1, _take, IDENT, "index variable",
+                       bracket=_PARENS)
     device = None
-    if ts.accept(TokenKind.LBRACK):
-        device = ts.expect(TokenKind.IDENT, "device variable").text
-        ts.expect(TokenKind.RBRACK, "']'")
-    return ElementArg(name_tok.pos, name_tok.text, indices, device)
+    if t.kinds[j] is LBRACK:
+        device, j = _take(t, j + 1, IDENT, "device variable")
+        j = _expect(t, j, RBRACK, "']'")
+    return ElementArg(t.pos(i), t.texts[i], indices, device), j
 
 
-def _parse_call(ts: _Stream) -> Stmt:
-    start = ts.expect_kw("call")
-    if ts.at_kw("halo_transfer"):
-        ts.next()
-        ts.expect(TokenKind.LPAREN, "'('")
-        array = ts.expect(TokenKind.IDENT, "array name").text
-        ts.expect(TokenKind.COMMA, "','")
-        ts.expect_kw("bc")
-        ts.expect(TokenKind.ASSIGN, "'='")
-        ts.expect_kw("cyclic")
-        ts.expect(TokenKind.RPAREN, "')'")
-        return HaloTransfer(start.pos, array, "cyclic")
-    raise ts.fail("kernel calls may appear only inside 'do concurrent'")
+def _parse_call(t: Tokens, i: int) -> tuple[Stmt, int]:
+    if not _at_kw(t, i + 1, "halo_transfer"):
+        raise _fail(t, i + 1,
+                    "kernel calls may appear only inside 'do concurrent'")
+    array, j = _take(t, _expect(t, i + 2, LPAREN, "'('"), IDENT, "array name")
+    j = _expect_kw(t, _expect(t, j, COMMA, "','"), "bc")
+    j = _expect_kw(t, _expect(t, j, ASSIGN, "'='"), "cyclic")
+    return HaloTransfer(t.pos(i), array, "cyclic"), _expect(t, j, RPAREN, "')'")
 
 
-def _parse_if(ts: _Stream) -> If:
-    start = ts.expect_kw("if")
-    ts.expect(TokenKind.LPAREN, "'('")
-    cond = _parse_cond(ts)
-    ts.expect(TokenKind.RPAREN, "')'")
-    ts.expect_kw("then")
-    ts.end_stmt()
-    body = ts.body(_parse_host_stmt, "if")
-    return If(start.pos, cond, body)
+def _parse_if(t: Tokens, i: int) -> tuple[If, int]:
+    left, _, op = _expr(t, _expect(t, i + 1, LPAREN, "'('"), False, 1)
+    if t.kinds[op] not in _COMPARISONS:
+        raise _fail(t, op, "expected a comparison operator")
+    right, _, j = _expr(t, op + 1, False, 1)
+    j = _expect_kw(t, _expect(t, j, RPAREN, "')'"), "then")
+    body, j = _body(t, _end_stmt(t, j), _parse_host_stmt, "if")
+    return If(t.pos(i), Cmp(left.pos, t.texts[op], left, right), body), j
 
 
-def _parse_host_assignment(ts: _Stream) -> Stmt:
-    name_tok = ts.expect(TokenKind.IDENT, "assignment target")
-    if ts.at(TokenKind.LBRACK):
+def _parse_host_assignment(t: Tokens, i: int) -> tuple[Stmt, int]:
+    name = t.texts[i]
+    pos = t.pos(i)
+    kind = t.kinds[i + 1]
+    if kind is LBRACK:
         # U[dev] = U : host-to-device mirror push
-        ts.next()
-        device = ts.expect(TokenKind.IDENT, "device variable").text
-        ts.expect(TokenKind.RBRACK, "']'")
-        ts.expect(TokenKind.ASSIGN, "'='")
-        src_tok = ts.expect(TokenKind.IDENT, "array name")
-        if src_tok.text != name_tok.text:
-            raise ts.fail("mirror assignment must name the same array on both "
-                          "sides", src_tok)
-        return MirrorAssign(name_tok.pos, "host_to_device",
-                            name_tok.text, device)
-    if ts.at(TokenKind.LPAREN):
-        lhs = _parse_section(ts, name_tok, allow_cosubs=False)
-        ts.expect(TokenKind.ASSIGN, "'='")
-        rhs = _parse_expr(ts, kernel=False)
-        return Assign(name_tok.pos, lhs, rhs)
-    ts.expect(TokenKind.ASSIGN, "'='")
-    if ts.at_kw("get_subimage"):
-        ts.next()
-        ts.expect(TokenKind.LPAREN, "'('")
-        image = int(ts.expect(TokenKind.INT, "image number").text)
-        ts.expect(TokenKind.RPAREN, "')'")
-        return AssignSubimage(name_tok.pos, name_tok.text, image)
-    if (ts.peek().kind is TokenKind.IDENT
-            and ts.peek(1).kind is TokenKind.LBRACK):
+        device, j = _take(t, i + 2, IDENT, "device variable")
+        j = _expect(t, _expect(t, j, RBRACK, "']'"), ASSIGN, "'='")
+        j = _mirror_source(t, j, name)
+        return MirrorAssign(pos, "host_to_device", name, device), j
+    if kind is LPAREN:
+        lhs, _, j = _section(t, i, False, 0)
+        rhs, _, j = _expr(t, _expect(t, j, ASSIGN, "'='"), False, 0)
+        return Assign(pos, lhs, rhs), j
+    j = _expect(t, i + 1, ASSIGN, "'='")
+    if _at_kw(t, j, "get_subimage"):
+        image, j = _int(t, _expect(t, j + 1, LPAREN, "'('"), "image number")
+        return AssignSubimage(pos, name, image), _expect(t, j, RPAREN, "')'")
+    if t.kinds[j] is IDENT and t.kinds[j + 1] is LBRACK:
         # U = U[dev] : device-to-host mirror pull
-        src_tok = ts.next()
-        if src_tok.text != name_tok.text:
-            raise ts.fail("mirror assignment must name the same array on both "
-                          "sides", src_tok)
-        ts.expect(TokenKind.LBRACK, "'['")
-        device = ts.expect(TokenKind.IDENT, "device variable").text
-        ts.expect(TokenKind.RBRACK, "']'")
-        return MirrorAssign(name_tok.pos, "device_to_host",
-                            name_tok.text, device)
-    rhs = _parse_expr(ts, kernel=False)
-    return Assign(name_tok.pos, Ident(name_tok.pos, name_tok.text), rhs)
+        j = _mirror_source(t, j, name)
+        device, j = _take(t, j + 1, IDENT, "device variable")
+        return (MirrorAssign(pos, "device_to_host", name, device),
+                _expect(t, j, RBRACK, "']'"))
+    rhs, _, j = _expr(t, j, False, 0)
+    return Assign(pos, Ident(pos, name), rhs), j
+
+
+def _mirror_source(t: Tokens, i: int, name: str) -> int:
+    """Past the array named on the other side of a mirror assignment."""
+    src, j = _take(t, i, IDENT, "array name")
+    if src != name:
+        raise _fail(t, i, "mirror assignment must name the same array on "
+                          "both sides")
+    return j

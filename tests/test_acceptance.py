@@ -324,28 +324,36 @@ def test_criterion_9_index_mapping_exhaustion():
                         ok = ok and np.unique(interior).size == m
             # rank 2: same exhaustion, vectorized over the centre x offset
             # product per layout
+            spans = {(lo, hi): np.arange(-lo, hi + 1)
+                     for lo in range(4) for hi in range(4)}
             for m in range(1, 17):
                 for n in range(1, 17):
                     c0 = np.arange(1, m + 1)[:, None, None, None]
                     c1 = np.arange(1, n + 1)[None, :, None, None]
                     for lo0 in range(4):
                         for hi0 in range(4):
-                            o0 = np.arange(-lo0, hi0 + 1)[None, None, :, None]
+                            o0 = spans[lo0, hi0][None, None, :, None]
                             for lo1 in range(4):
                                 for hi1 in range(4):
-                                    o1 = np.arange(-lo1, hi1 + 1)[
-                                        None, None, None, :]
+                                    o1 = spans[lo1, hi1][None, None, None, :]
                                     lay = StorageLayout((m, n), (lo0, lo1),
                                                         (hi0, hi1))
+                                    count = lay.count()
                                     lin = _flat(lay, lay.at((c0, c1),
                                                             (o0, o1)))
-                                    if not (lin.min() >= 0 and
-                                            lin.max() < lay.count()):
+                                    # 0 <= lin < count in one reduction:
+                                    # as unsigned, a negative index reads
+                                    # as 2**63 or more
+                                    if lin.view(np.uint64).max() >= count:
                                         ok = False
-                                    interior = lin[:, :, lo0, lo1]
-                                    if np.unique(interior).size != m * n:
+                                    # the interior maps to m * n distinct
+                                    # cells (the same count np.unique
+                                    # gives, once every index is in bounds)
+                                    seen = np.zeros(count, bool)
+                                    seen[lin[:, :, lo0, lo1]] = True
+                                    if np.count_nonzero(seen) != m * n:
                                         ok = False
-        except ValueError:      # a cell outside the padded box
+        except (ValueError, IndexError):    # a cell outside the padded box
             ok = False
         # the scalar path agrees with the frozen layout examples
         lay = StorageLayout((8, 4), (1, 1), (1, 1))

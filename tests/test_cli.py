@@ -12,6 +12,7 @@ import lopec
 from conftest import BAD, CORPUS, GOLDEN
 from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
+from lopec.parser import MAX_EXPR_DEPTH
 from test_runtime import DIVERGENT_HALO, NOT_AN_INTEGER
 from test_sema import INTEGER_LAPLACIAN, KERNEL_SHAPES
 
@@ -296,3 +297,76 @@ def test_a_real_overflow_assigned_to_an_integer_exits_3(tmp_path, capsys):
     assert err == (f"{src}:{line}:7: error[E108]: the value inf does not "
                    f"fit an integer\n")
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_huge_integer_literal_exits_1_without_a_traceback(tmp_path, capsys):
+    text = (CORPUS / "avg3.lope").read_text().replace(
+        "  integer :: it\n", "  integer :: it\n  integer :: r\n  r = 1"
+        + "0" * 4400 + "\n", 1)
+    src = tmp_path / "huge.lope"
+    src.write_text(text)
+    line = next(i for i, t in enumerate(text.splitlines(), 1) if "r = 1" in t)
+    assert main(["check", str(src)]) == 1
+    out = capsys.readouterr()
+    assert out.err == (f"{src}:{line}:7: error[E002]: integer literal of "
+                       f"4401 digits is too long\n")
+
+
+def deep(shape: str, levels: int, leaf: str) -> str:
+    """An expression ``levels`` levels deep, as MAX_EXPR_DEPTH counts."""
+    inner = levels - 1
+    if shape == "sum":
+        return " + ".join([leaf] * levels)
+    if shape == "parens":
+        return "(" * inner + leaf + ")" * inner
+    if shape == "calls":
+        return "abs(" * inner + leaf + ")" * inner
+    return "-" * inner + leaf          # signs
+
+
+def deep_program(context: str, expr: str) -> str:
+    text = (CORPUS / "avg3.lope").read_text()
+    if context == "kernel":
+        return text.replace("(A(-1) + A(0) + A(+1)) / 3", expr, 1)
+    return text.replace("  integer :: it\n", "  integer :: it\n  real :: q\n",
+                        1).replace("  allocate(", f"  q = {expr}\n  allocate(",
+                                   1)
+
+
+COMMANDS = [["check"], ["run"], ["emit"], ["emit", "--target", "plan"],
+            ["ast"]]
+
+
+@pytest.mark.parametrize("context", ["kernel", "host"])
+@pytest.mark.parametrize("shape", ["sum", "parens", "calls", "signs"])
+def test_expression_at_the_depth_limit_goes_through_every_stage(
+        tmp_path, capsys, context, shape):
+    leaf = "A(0)" if context == "kernel" else "1"
+    src = tmp_path / "deep.lope"
+    src.write_text(deep_program(context, deep(shape, MAX_EXPR_DEPTH, leaf)))
+    for command in COMMANDS:
+        assert main([command[0], str(src), *command[1:],
+                     *(["--images", "2"] if command == ["run"] else [])]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("context", ["kernel", "host"])
+@pytest.mark.parametrize("shape,levels", [
+    ("sum", MAX_EXPR_DEPTH + 1), ("parens", MAX_EXPR_DEPTH + 1),
+    ("calls", MAX_EXPR_DEPTH + 1), ("signs", MAX_EXPR_DEPTH + 1),
+    ("sum", 1000), ("parens", 301)])
+def test_expression_past_the_depth_limit_exits_1(tmp_path, capsys, command,
+                                                 context, shape, levels):
+    expr = deep(shape, levels, "A(0)" if context == "kernel" else "1")
+    text = deep_program(context, expr)
+    src = tmp_path / "deep.lope"
+    src.write_text(text)
+    line = next(i for i, t in enumerate(text.splitlines(), 1) if expr in t)
+    assert main([command, str(src)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"{src}:{line}:")
+    assert out.err.endswith(f": error[E002]: expression nested deeper than "
+                            f"{MAX_EXPR_DEPTH} levels\n")
+    assert out.err.count("\n") == 1

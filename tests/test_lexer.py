@@ -111,6 +111,20 @@ def test_every_token_stream_ends_with_eof():
         assert toks[-1].kind is TokenKind.EOF
 
 
+@pytest.mark.parametrize("text,count", [
+    ("a = 1 ! note\nb &\n  & (2)\n", 10),
+    ("ab \r", 2),
+    ("ab ! note", 2),
+    ("", 1),
+])
+def test_length_counts_every_token_and_one_eof(text, count):
+    # the benchmark's token count is ``len(tokenize(text))``
+    toks = tokenize(text)
+    assert len(toks) == len(list(toks)) == count
+    assert kinds(text).count(TokenKind.EOF) == 1
+    assert toks[len(toks) - 1] == toks[-1] and toks[-1].kind is TokenKind.EOF
+
+
 def positions(text):
     return [(t.kind.name, t.text, t.pos.line, t.pos.col)
             for t in tokenize(text)]

@@ -11,8 +11,9 @@ import random
 import pytest
 
 from conftest import CORPUS_FILES, stream_inputs
-from lopec import ast
+from lopec import ast, lexer, parser
 from lopec.astdump import dump_ast
+from lopec.diagnostics import ParseError
 from lopec.parser import parse_source
 
 MINIMAL = """\
@@ -196,6 +197,59 @@ def test_lex_error_surfaces_as_diagnostic():
                                   "t.lope")
     assert program is None
     assert [d.code for d in diags] == ["E001"]
+
+
+HUGE = "1" + "0" * 4400       # past Python's integer string conversion limit
+
+
+@pytest.mark.parametrize("old,new", [
+    ("U(0) = U(-1) + U(+1)", f"U(0) = U(-{HUGE}) + U(+1)"),    # kernel offset
+    ("U(0) = U(-1) + U(+1)", f"U({HUGE}) = U(-1) + U(+1)"),    # stored offset
+    ("HALO(1:*:1) :: U\n  U(0)", f"HALO(1:*:{HUGE}) :: U\n  U(0)"),
+    ("GET_SUBIMAGE(1)", f"GET_SUBIMAGE({HUGE})"),
+    ("allocate(U(0:M+1)[*])", f"allocate(U(0:M+{HUGE})[*])"),  # host expr
+], ids=["offset", "stored-offset", "halo-width", "get-subimage", "host"])
+def test_huge_integer_literal_is_a_positioned_parse_error(old, new):
+    text = MINIMAL.replace(old, new, 1)
+    line = next(n for n, row in enumerate(text.splitlines(), 1) if HUGE in row)
+    col = text.splitlines()[line - 1].index(HUGE) + 1
+    program, diags = parse_source(text, "t.lope")
+    assert program is None
+    assert [d.render() for d in diags] == [
+        f"t.lope:{line}:{col}: error[E002]: integer literal of 4401 digits "
+        f"is too long"]
+
+
+def test_parse_source_calls_tokenize_and_parse_once(monkeypatch):
+    # the benchmark times the lexer and the parser by wrapping these two
+    # module attributes
+    calls = []
+
+    def counted(name):
+        real = getattr(parser, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("tokenize", "parse"):
+        monkeypatch.setattr(parser, name, counted(name))
+    assert parse_source(MINIMAL, "t.lope")[0] is not None
+    assert calls == ["tokenize", "parse"]
+
+
+def test_parsing_builds_no_token_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Token was built while parsing")
+    sources = [p.read_text() for p in CORPUS_FILES] + [MINIMAL]
+    streams = [lexer.tokenize(text, "t.lope") for text in sources + ["x\n"]]
+    monkeypatch.setattr(lexer, "Token", refuse)
+    monkeypatch.setattr(lexer.Tokens, "__getitem__", refuse)
+    for tokens in streams[:-1]:
+        assert isinstance(parser.parse(tokens), ast.Program)
+    with pytest.raises(ParseError):
+        parser.parse(streams[-1])
 
 
 # -- totality fuzz --------------------------------------------------------
