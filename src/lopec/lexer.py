@@ -106,14 +106,14 @@ class Tokens(Sequence):
 # Every token group but real and int starts with its own set of characters,
 # so the groups are tried most frequent first; within a group the longest
 # alternative comes first, so maximal munch wins ([[ before [, == before =),
-# and reals come before ints.  Blanks and comments before a token are part
-# of its match and never backtracked into, and ``end`` is the empty match
-# at the end of the text.  ``cont`` is a whole trailing continuation:
-# the '&', blanks, an optional comment, the line break, leading blanks on
-# the next line and an optional leading '&'.  A lone '&' and any character
-# no other group takes are errors.
+# and reals come before ints.  Blanks and a comment before a token are part
+# of its match, never backtracked into (after them ``newline``, ``end`` or
+# ``bad`` always matches); ``end`` is the empty match at the end of the text.
+# ``cont`` is a whole trailing continuation: the '&', blanks, an optional
+# comment, the line break, leading blanks on the next line and an optional
+# leading '&'.  A lone '&' and any character no other group takes are errors.
 _TOKEN_RE = re.compile(r"""
-  [ \t\r]*+(?:![^\n]*+)?+
+  [ \t\r]*(?:![^\n]*)?
   (?:(?P<punct>\[\[|\]\]|::|==|/=|[()\[\],:+\-*/=<>])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<real>(?:\d+\.\d*|\.\d+)(?:[eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)

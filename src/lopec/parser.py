@@ -268,18 +268,16 @@ def _parse_kernel_stmt(t: Tokens, i: int) -> tuple[Stmt, int]:
 
 def _offsets(t: Tokens, i: int) -> tuple[tuple[int, ...], int]:
     """Signed integer literals separated by commas, in parentheses."""
-    kinds = t.kinds
-    i = _expect(t, i, LPAREN, "'('")
-    offsets = []
-    while True:
-        sign = kinds[i]
-        if sign is MINUS or sign is PLUS:
-            i += 1
-        value, i = _int(t, i, "integer offset")
-        offsets.append(-value if sign is MINUS else value)
-        if kinds[i] is not COMMA:
-            return tuple(offsets), _expect(t, i, RPAREN, "')'")
-        i += 1
+    offsets, i = _list(t, i, _offset, bracket=_PARENS)
+    return tuple(offsets), i
+
+
+def _offset(t: Tokens, i: int) -> tuple[int, int]:
+    sign = t.kinds[i]
+    if sign is not MINUS and sign is not PLUS:
+        return _int(t, i, "integer offset")
+    value, i = _int(t, i + 1, "integer offset")
+    return (-value if sign is MINUS else value), i
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +350,9 @@ def _operand(t: Tokens, i: int, kernel: bool, depth: int):
 
 
 def _exprs(t: Tokens, i: int, kernel: bool, depth: int, bracket: tuple,
-           empty: bool = False, subs: bool = False):
-    """A bracketed comma-separated list of expressions (of section
-    subscripts when ``subs``) one level below ``depth``; returns the list,
-    the depth of the construct holding it, and the cursor."""
+           empty: bool = False, item=_expr):
+    """Bracketed, comma-separated ``item``s one level below ``depth``;
+    returns them, the depth of the construct holding them, the cursor."""
     kinds = t.kinds
     opening, opened, close, closed = bracket
     i = _expect(t, i, opening, opened)
@@ -363,10 +360,7 @@ def _exprs(t: Tokens, i: int, kernel: bool, depth: int, bracket: tuple,
     height = 1
     if not (empty and kinds[i] is close):
         while True:
-            if subs and kinds[i] is COLON:
-                x, h, i = FullRange(t.pos(i)), 1, i + 1
-            else:
-                x, h, i = _expr(t, i, kernel, depth + 1)
+            x, h, i = item(t, i, kernel, depth + 1)
             items.append(x)
             height = max(height, h + 1)
             if kinds[i] is not COMMA:
@@ -375,8 +369,15 @@ def _exprs(t: Tokens, i: int, kernel: bool, depth: int, bracket: tuple,
     return items, height, _expect(t, i, close, closed)
 
 
+def _subscript(t: Tokens, i: int, kernel: bool, depth: int):
+    """A section subscript: an expression or ':'."""
+    if t.kinds[i] is COLON:
+        return FullRange(t.pos(i)), 1, i + 1
+    return _expr(t, i, kernel, depth)
+
+
 def _section(t: Tokens, i: int, allow_cosubs: bool, depth: int):
-    subs, height, j = _exprs(t, i + 1, False, depth, _PARENS, subs=True)
+    subs, height, j = _exprs(t, i + 1, False, depth, _PARENS, item=_subscript)
     cosubs = None
     if t.kinds[j] is LBRACK:
         if not allow_cosubs:

@@ -1,12 +1,13 @@
 """Scanner behaviour: token kinds, positions, continuations, errors."""
 
 import hashlib
+import re
 
 import pytest
 
 from conftest import stream_inputs
 from lopec.diagnostics import LexError
-from lopec.lexer import TokenKind, real_value, tokenize
+from lopec.lexer import _TOKEN_RE, TokenKind, real_value, tokenize
 
 
 def kinds(text):
@@ -206,3 +207,20 @@ def test_token_streams_match_the_pinned_digest():
     # both outcomes are covered
     assert 0 < failed < MUTANTS
     assert digest.hexdigest() == STREAM_DIGEST
+
+
+def test_token_regex_compiles_on_the_oldest_supported_python():
+    # Python 3.10 rejects possessive quantifiers and atomic groups, which
+    # 3.11 added; the lexer compiles its regex at import.
+    sre = pytest.importorskip("re._parser")
+    newer = {re._constants.POSSESSIVE_REPEAT, re._constants.ATOMIC_GROUP}
+
+    def opcodes(node):
+        if isinstance(node, (sre.SubPattern, list, tuple)):
+            for item in node:
+                yield from opcodes(item)
+        elif isinstance(node, re._constants._NamedIntConstant):
+            yield node
+
+    used = set(opcodes(sre.parse(_TOKEN_RE.pattern, _TOKEN_RE.flags)))
+    assert not used & newer
