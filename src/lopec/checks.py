@@ -6,8 +6,9 @@ Kernels are checked for the communication-avoiding discipline:
   (E101 on any halo write);
 * once an array has been stored to, later statements may not read it at a
   non-zero offset (E103) — halo cells would then be stale;
-* kernels reference nothing but their parameters, local scalars, and the
-  intrinsics ``abs, min, max, sqrt`` at their ``ARITY`` (E104);
+* kernels reference nothing but their parameters, local scalars, the
+  intrinsics ``abs, min, max, sqrt`` at their ``ARITY``, and integer
+  literals that a real can hold (E104);
 * a kernel has at least one array parameter, and its array parameters are
   all ``real`` (E104) and share one rank of at most 3 (E012), the only
   signatures the C emitter and the runtime translate.
@@ -24,6 +25,7 @@ host checks; diagnostics come back sorted by source position.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import ast
@@ -170,6 +172,11 @@ def check_kernel(kernel: ast.KernelDef):
     stored: set[str] = set()
 
     def read_expr(e: ast.Expr) -> None:
+        if isinstance(e, ast.IntLit) and e.value > sys.float_info.max:
+            # kernels compute in real, so lowering converts the literal
+            diags.append(error(IMPURE_KERNEL, e.pos, f"integer literal of "
+                               f"{len(str(e.value))} digits is too large "
+                               f"for a real"))
         if isinstance(e, (ast.IntLit, ast.RealLit)):
             return
         if isinstance(e, ast.Ident):

@@ -22,6 +22,8 @@ code.
 
 from __future__ import annotations
 
+import math
+
 from .ast import (Allocate, Assign, AssignSubimage, Bin, Call, Cmp, ConcRange,
                   DeclAttrs, Deallocate, DoConcurrent, DoCounted, ElementArg,
                   Expr, FullRange, HaloDim, HaloSpec, HaloTransfer, Ident, If,
@@ -339,7 +341,10 @@ def _operand(t: Tokens, i: int, kernel: bool, depth: int):
         value, j = _int(t, i, "integer")
         return IntLit(t.pos(i), value), 1, j
     if kind is REAL:
-        return RealLit(t.pos(i), real_value(t.texts[i])), 1, i + 1
+        value = real_value(t.texts[i])
+        if math.isinf(value):
+            raise _fail(t, i, "expected a finite real literal")
+        return RealLit(t.pos(i), value), 1, i + 1
     if kind is LPAREN:
         inner, h, j = _expr(t, i + 1, kernel, depth + 1)
         return inner, h + 1, _expect(t, j, RPAREN, "')'")

@@ -12,9 +12,10 @@ allocated when the first image creates a mirror.  ``get_subimage`` returns
 a handle distinct from every image index when a device is present and
 falls back to ``this_image()`` otherwise; mirror allocation, mirror
 copies, and the per-dimension pull/push traffic of a device-resident halo
-exchange are all modelled and instrumented (event log + per-image count
-arrays).  The log holds compact records that each stand for many images;
-``Machine.events`` expands it into a fresh list of tuples on every read.
+exchange are all modelled and recorded in one event log.  The log holds
+compact records that each stand for many images; ``Machine.events``
+expands it into a fresh list of tuples on every read, and
+``Machine.counters`` tallies it per image.
 
 The host program runs once per cohort: ascending images at the same
 statement.  A divergence analysis by name (``plan.variant_statements``)
@@ -27,10 +28,9 @@ host read through a cosubscript can see how far another image has run, so
 a program with one splits at its start and launches inline, in the exact
 round-robin order.  The log of a pass lists each image's events in turn.
 
-Each uniform launch statement keeps its last evaluation, keyed on the
-exact values (type and bits) of the names its ranges and scalars read and
-on whether it targets a device.  Once every cohort has stopped, the
-launches that share a statement, ranges, scalars and target run as one
+A cohort evaluates a uniform launch once per target kind and a variant
+one once per image.  Once every cohort has stopped, the launches that
+share a statement, ranges, scalars (by their bits) and target run as one
 ``run_body`` call over ``(range..., images)`` slabs: the paper's model,
 where every image applies the same kernel to its own block, in one step
 instead of P.  A stacked slab holds at most ``STACK_CELLS`` cells, so a
@@ -72,7 +72,7 @@ import itertools
 import math
 import operator
 import random
-import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -83,7 +83,7 @@ from .checks import CheckResult
 from .diagnostics import ALLOC_SHAPE, GRID_FACTOR, UNALLOCATED, RuntimeFault, SourcePos
 from .grid import ProcessGrid, create_grid
 from .ir import KernelIR, StorageLayout, Workspace, lower_kernel, run_body
-from .plan import governing, split_point, variant_statements
+from .plan import split_point, variant_statements
 from .symbols import MAX_HALO_WIDTH, ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
@@ -181,15 +181,10 @@ class Machine:
                 "pcol": pcol, "prow": prow,
                 "m": self.m, "n": self.n, "nsteps": config.steps,
             }
-        # per counter kind, one count per image; read through ``counters``
-        self._counts = {kind: np.zeros(p, dtype=np.int64) for kind in (
-            "launches", "device_launches", "halo_transfers", "d2h", "h2d")}
         self.arrays: dict[str, DistributedArray] = {}
         # event tuples, and per-pass lists of (kind, images, fields) records
         self._log: list = []
         self._pass: list[tuple] = []    # the records of this pass
-        # id(DoConcurrent) -> its one-entry cache
-        self._launch_cache: dict[int, _LaunchCache] = {}
         # vector-launch scratch, one per (kernel name, slab shape)
         self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
         # 0-based cyclic neighbour of every image, per (grid axis, side):
@@ -203,8 +198,23 @@ class Machine:
 
     @property
     def counters(self) -> dict[int, dict[str, int]]:
-        """Per-image counts, built from the count arrays on each read."""
-        return {k: {kind: int(c[k - 1]) for kind, c in self._counts.items()}
+        """Per-image counts, tallied from the event log on each read."""
+        # per counter kind, the image of every event it counts
+        hits: dict[str, list[int]] = {kind: [] for kind in (
+            "launches", "device_launches", "halo_transfers", "d2h", "h2d")}
+        for rec in self._log:
+            if not isinstance(rec, list):   # a halo exchange: every image
+                hits["halo_transfers"] += self.images
+                continue
+            for kind, images, fields in rec:
+                if kind == "launch":
+                    hits["launches"] += images
+                    if fields[1]:
+                        hits["device_launches"] += images
+                elif kind != "halo_fill":   # a device allocation pushes
+                    hits["h2d" if kind == "device_alloc" else kind] += images
+        counts = {kind: Counter(ks) for kind, ks in hits.items()}
+        return {k: {kind: c[k] for kind, c in counts.items()}
                 for k in self.images}
 
     @property
@@ -215,9 +225,6 @@ class Machine:
             sorted(((kind, k) + fields for kind, images, fields in rec
                     for k in images), key=operator.itemgetter(1))
             if isinstance(rec, list) else [rec])]
-
-    def _count(self, kind: str, images, n: int = 1) -> None:
-        self._counts[kind][_index(images)] += n
 
     # -- setup ------------------------------------------------------------
 
@@ -319,9 +326,8 @@ class Machine:
         return float(arr.view(owner)[idx])
 
     def _resolve_image(self, cosubs: list[ast.Expr], k: int) -> int:
-        values = [self._int(c, k, "cosubscript") for c in cosubs]
-        if len(values) == 1:
-            return self.grid.image_at(values[0], 1)
+        # one cosubscript names a grid column, on row 1
+        values = [self._int(c, k, "cosubscript") for c in cosubs] + [1]
         return self.grid.image_at(values[0], values[1])
 
     # -- array helpers -----------------------------------------------------
@@ -428,7 +434,6 @@ class Machine:
         meets a variant loop bound or a variant ``if`` that holds a stop."""
         for s in stmts:
             if isinstance(s, ast.HaloTransfer):
-                self._count("halo_transfers", ks)
                 yield ("halo", s.array, s)
             elif isinstance(s, ast.Allocate) and s.bounds:
                 # allocating a coarray synchronizes all images
@@ -523,7 +528,7 @@ class Machine:
         arr.allocate()
         if (self.primary is not None and ent.name == self.primary.name
                 and self.input_field is not None):
-            self._scatter(arr)
+            self._blocks(arr)[...] = self._tiles(self.input_field)
 
     def _block_layout(self, a: ast.Allocate, ent: ArrayEntity,
                       k: int) -> StorageLayout:
@@ -589,9 +594,6 @@ class Machine:
         return field.reshape(self.grid.np, self.m, self.grid.mp,
                              self.n).transpose(1, 3, 0, 2)
 
-    def _scatter(self, arr: DistributedArray) -> None:
-        self._blocks(arr)[...] = self._tiles(self.input_field)
-
     def _alloc_device(self, a: ast.Allocate, ks: list[int]) -> None:
         # a fallback handle has no device, so nothing to mirror
         images = [k for k, dev in zip(ks, self._devices(a.device, ks, a.pos))
@@ -600,7 +602,6 @@ class Machine:
             return
         arr = self._allocated(a.entity, images[0], a.pos)
         arr.add_mirrors(_index(images))
-        self._count("h2d", images)
         self._pass.append(("device_alloc", images, (a.entity,)))
 
     def _mirror_copy(self, a: ast.MirrorAssign, ks: list[int]) -> None:
@@ -619,7 +620,6 @@ class Machine:
         src, dst = (arr.device, arr.host) if to_host else (arr.host, arr.device)
         dst[..., idx] = src[..., idx]
         kind = "d2h" if to_host else "h2d"
-        self._count(kind, images)
         self._pass.append((kind, images, (a.array, -1)))
 
     # -- section copies ----------------------------------------------------
@@ -645,52 +645,37 @@ class Machine:
 
     def _prepare_launch(self, a: ast.DoConcurrent,
                         ks: list[int]) -> list[tuple[_Launch, list[int]]]:
-        """Check and count the cohort's launch; the requests that run it,
+        """Check and log the cohort's launch; the requests that run it,
         each an evaluation and its images.  A uniform launch is evaluated
-        once per target kind unless cached, a variant one once per image."""
-        cache = self._launch_cache.get(id(a))
-        if cache is None:
-            cache = self._launch_cache[id(a)] = _LaunchCache(
-                a, id(a) in self._variant)
+        once per target kind, a variant one once per image."""
         devs = self._devices(a.target, ks, a.pos)
-        if cache.names is None:
+        if id(a) in self._variant:
             groups = [([k], dev) for k, dev in zip(ks, devs)]
         else:   # one group per target kind, the first image's first
             groups = [([k for k, d in zip(ks, devs) if d == dev], dev)
                       for dev in dict.fromkeys(devs)]
         requests = []
         for images, on_device in groups:
-            k = images[0]
-            key = cache.key_for(self.env[k], on_device)
-            if key is not None and key == cache.key:
-                for name in cache.array_args:
-                    self._launch_array(name, k, on_device, a.pos)
-                entry = cache.entry
-            else:
-                entry = self._evaluate_launch(a, k, on_device)
-                if key is not None:
-                    cache.key, cache.entry = key, entry
+            launch = self._evaluate_launch(a, images[0], on_device)
             # allocation is collective, so images differ only in mirrors
             ok = len(images)
             if on_device:
-                for name in cache.array_args:
-                    mirrored = self.arrays[name].mirrored[_index(images[:ok])]
+                for arr in launch.arrays.values():
+                    mirrored = arr.mirrored[_index(images[:ok])]
                     ok = ok if mirrored.all() else int(mirrored.argmin())
-            self._count("launches", images[:ok])
-            self._count("device_launches", images[:ok], int(on_device))
             self._pass.append(("launch", images[:ok], (a.call.name,
                                                        on_device)))
             if ok < len(images):
-                for name in cache.array_args:
-                    self._launch_array(name, images[ok], on_device, a.pos)
-            if entry is not None:
-                requests.append((entry, images))
+                for arr in launch.arrays.values():
+                    self._launch_array(arr.entity.name, images[ok],
+                                       on_device, a.pos)
+            if all(lo <= hi for lo, hi in launch.ranges):
+                requests.append((launch, images))
         return requests
 
     def _evaluate_launch(self, a: ast.DoConcurrent, k: int,
-                         on_device: bool) -> Optional[_Launch]:
-        """Evaluate and check image k's ranges, scalars and arrays; None
-        when a range is empty."""
+                         on_device: bool) -> _Launch:
+        """Evaluate and check image k's ranges, scalars and arrays."""
         kir = self.kernels[a.call.name]
         ranges = [(self._int(r.lo, k, "launch range"),
                    self._int(r.hi, k, "launch range")) for r in a.ranges]
@@ -712,13 +697,11 @@ class Machine:
                     ALLOC_SHAPE,
                     f"launch range {lo}:{hi} lies outside the interior "
                     f"1:{interior[d]} in dim {d + 1}", a.pos)
-        if any(lo > hi for lo, hi in ranges):
-            return None
         # The statement fixes the kernel, its arrays and the scalar types.
         # Scalars compare by their bits: 0.0 and -0.0 launch apart.
         key = (id(a), on_device, tuple(ranges),
                tuple(v.tobytes() for v in scalars.values()))
-        return _Launch(k, key, kir, ranges, arrays, on_device, scalars)
+        return _Launch(key, kir, ranges, arrays, on_device, scalars)
 
     def _launch_array(self, name: str, k: int, on_device: bool,
                       pos: SourcePos) -> DistributedArray:
@@ -820,7 +803,6 @@ class Machine:
             if mirrored:
                 for _, source, _ in sides:
                     host[source + (on_device,)] = device[source + (on_device,)]
-                self._count("d2h", mirrored, len(sides))
                 self._log.append([("d2h", mirrored, (name, d))] * len(sides))
 
             # Exchange on the host: every image completes dimension d
@@ -838,7 +820,6 @@ class Machine:
             if mirrored:
                 for halo, _, _ in sides:
                     device[halo + (on_device,)] = host[halo + (on_device,)]
-                self._count("h2d", mirrored, len(sides))
                 self._log.append([("h2d", mirrored, (name, d))] * len(sides))
 
     # -- gather / scatter --------------------------------------------------
@@ -863,47 +844,14 @@ class Machine:
 
 @dataclass
 class _Launch:
-    """A launch evaluated on ``image``, for every image that shares its
-    key: images whose launches share it run stacked."""
+    """One image's evaluated launch; images with equal keys run stacked."""
 
-    image: int
     key: tuple
     kernel: KernelIR
     ranges: list[tuple[int, int]]
     arrays: dict[str, DistributedArray]
     on_device: bool
     scalars: dict[str, object]
-
-
-_UNSET = object()
-
-
-class _LaunchCache:
-    """One uniform launch statement's last evaluation, reused by every
-    image whose names read by its ranges and scalars hold the same values.
-
-    ``entry`` is the ``_Launch`` evaluated for ``key`` (None for an empty
-    range); its ranges and scalars are shared between images, so nothing
-    may change them."""
-
-    def __init__(self, a: ast.DoConcurrent, variant: bool):
-        # a variant launch is evaluated on every image
-        self.names = None if variant else tuple(sorted(
-            {n.name for n in ast.walk(governing(a))
-             if isinstance(n, ast.Ident)}))
-        self.array_args = [arg.array for arg in a.call.args
-                           if isinstance(arg, ast.ElementArg)]
-        self.key: Optional[tuple] = None
-        self.entry: Optional[_Launch] = None
-
-    def key_for(self, env: dict, on_device: bool) -> Optional[tuple]:
-        """The cache key of an image with names ``env``, None for a variant
-        launch.  Values compare by type and bits: 0.0 and -0.0 differ."""
-        if self.names is None:
-            return None
-        return (on_device,) + tuple(
-            (float, struct.pack("<d", v)) if type(v) is float else (type(v), v)
-            for v in (env.get(n, _UNSET) for n in self.names))
 
 
 def _convert(kind, value, pos: SourcePos):

@@ -14,7 +14,7 @@ from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
 from lopec.parser import MAX_EXPR_DEPTH
 from test_runtime import DIVERGENT_HALO, NOT_AN_INTEGER
-from test_sema import INTEGER_LAPLACIAN, KERNEL_SHAPES
+from test_sema import HUGE_DIVISOR, INTEGER_LAPLACIAN, KERNEL_SHAPES
 
 LAP = str(CORPUS / "laplacian.lope")
 
@@ -310,6 +310,23 @@ def test_huge_integer_literal_exits_1_without_a_traceback(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == (f"{src}:{line}:7: error[E002]: integer literal of "
                        f"4401 digits is too long\n")
+
+
+@pytest.mark.parametrize("command", ["check", "emit", "run"])
+@pytest.mark.parametrize("text,diagnostic", [
+    (HUGE_DIVISOR, "5:35: error[E104]: integer literal of 401 digits is too "
+                   "large for a real"),
+    ((CORPUS / "avg3.lope").read_text().replace(") / 3", ") * 1.0e999"),
+     "5:35: error[E002]: expected a finite real literal, found '1.0e999'"),
+], ids=["integer", "real"])
+def test_kernel_literal_a_real_cannot_hold_exits_1(tmp_path, capsys, command,
+                                                   text, diagnostic):
+    src = tmp_path / "avg3.lope"
+    src.write_text(text)
+    assert main([command, str(src)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{src}:{diagnostic}\n"
 
 
 def deep(shape: str, levels: int, leaf: str) -> str:

@@ -17,7 +17,7 @@ import pytest
 from conftest import CORPUS, compile_source
 from lopec.diagnostics import RuntimeFault
 from lopec.runtime import Machine, RunConfig
-from test_runtime import IMAGE_DEPENDENT
+from test_runtime import DIVERGENT_HALO, IMAGE_DEPENDENT
 
 # images, grid rows, devices; a 1-D coarray runs on one grid row
 CONFIGS = [(1, 1, 0), (4, 2, 0), (4, 2, 1), (8, 1, 1)]
@@ -209,7 +209,9 @@ DIGESTS = {
 }
 
 
-def outcome(text: str, images: int, grid_rows: int, devices: int) -> bytes:
+def machine_for(text: str, images: int, grid_rows: int,
+                devices: int) -> Machine:
+    """A three-step machine for ``text`` in one of ``CONFIGS``."""
     result = compile_source(text)
     (primary, *_) = [e for e in result.symtab.arrays() if e.corank > 0]
     shape = (16, 16)
@@ -217,9 +219,13 @@ def outcome(text: str, images: int, grid_rows: int, devices: int) -> bytes:
         shape, grid_rows = (32, 1), 1
     field = np.random.default_rng(images * 10 + devices).standard_normal(
         shape)
+    return Machine(result, RunConfig(images=images, grid_rows=grid_rows,
+                                     devices=devices, steps=3), field)
+
+
+def outcome(text: str, images: int, grid_rows: int, devices: int) -> bytes:
     try:
-        machine = Machine(result, RunConfig(images=images, grid_rows=grid_rows,
-                                            devices=devices, steps=3), field)
+        machine = machine_for(text, images, grid_rows, devices)
         machine.run()
         return b"\0".join([machine.gather().tobytes(),
                            repr(machine.events).encode(),
@@ -289,3 +295,95 @@ def test_image_dependent_programs_step_each_image_alone(coindexed):
             c["launches"] for c in machine.counters.values())
         digest = hashlib.sha1(machine.gather().tobytes()).hexdigest()
         assert digest == want, devices
+
+
+def tally(events, images):
+    """Per-image counters counted from the event list."""
+    counts = {k: dict.fromkeys(("launches", "device_launches",
+                                "halo_transfers", "d2h", "h2d"), 0)
+              for k in images}
+    for event in events:
+        kind = event[0]
+        if kind == "halo_transfer":     # one event for every image
+            for c in counts.values():
+                c["halo_transfers"] += 1
+        elif kind == "launch":
+            counts[event[1]]["launches"] += 1
+            counts[event[1]]["device_launches"] += event[3]
+        elif kind in ("d2h", "h2d", "device_alloc"):
+            counts[event[1]]["h2d" if kind == "device_alloc" else kind] += 1
+    return counts
+
+
+def test_counters_are_the_tally_of_the_events():
+    ran = 0
+    for name, text in PROGRAMS.items():
+        for config in CONFIGS:
+            machine = machine_for(text, *config)
+            try:
+                machine.run()
+            except RuntimeFault:
+                continue
+            assert machine.counters == tally(machine.events, machine.images), \
+                (name, config)
+            ran += 1
+    assert ran == len(PROGRAMS) * len(CONFIGS) - 3    # variant_fault on 3
+
+
+def test_a_halo_exchange_that_never_runs_counts_no_transfer():
+    """Image 1 waits at a halo_transfer that image 2 never reaches, so the
+    exchange faults before it runs and no image counts it."""
+    machine = Machine(compile_source(DIVERGENT_HALO),
+                      RunConfig(images=2), np.zeros((4, 4)))
+    with pytest.raises(RuntimeFault) as exc:
+        machine.run()
+    assert exc.value.code == "E202"
+    assert machine.counters == tally(machine.events, machine.images)
+    assert [c["halo_transfers"] for c in machine.counters.values()] == [0, 0]
+    assert [c["launches"] for c in machine.counters.values()] == [1, 1]
+
+
+# upwind with its launch inside a variant ``if``: every image steps alone
+SPLIT_UPWIND = (CORPUS / "upwind.lope").read_text().replace(
+    "    do concurrent (i=1:M, j=1:N) [[device]]\n"
+    "      call drift2( U(i,j)[device], 0.25 )\n"
+    "    end do\n",
+    "    if (pcol > 0) then\n"
+    "      do concurrent (i=1:M, j=1:N) [[device]]\n"
+    "        call drift2( U(i,j)[device], 0.25 )\n"
+    "      end do\n"
+    "    end if\n")
+
+
+def test_split_launches_still_stack():
+    """The images of the split program request their launches one by one,
+    yet the launches share one key, so each step is still one stacked
+    ``run_body`` call over all 16 images, with the unsplit program's
+    field and counters."""
+    assert SPLIT_UPWIND != (CORPUS / "upwind.lope").read_text()
+    field = np.random.default_rng(5).standard_normal((32, 32))
+    runs = []
+    for text in ((CORPUS / "upwind.lope").read_text(), SPLIT_UPWIND):
+        machine = Machine(compile_source(text), RunConfig(
+            images=16, grid_rows=4, devices=1, steps=3), field.copy())
+        requests, calls = [], []
+        run_launches, launch = machine._run_launches, machine._launch_vector
+
+        def spy_requests(batch, run_launches=run_launches, requests=requests):
+            requests.extend(images for _, images in batch)
+            run_launches(batch)
+
+        def spy_launch(*args, launch=launch, calls=calls):
+            calls.append(args[2])
+            launch(*args)
+
+        machine._run_launches = spy_requests
+        machine._launch_vector = spy_launch
+        machine.run()
+        runs.append((machine, requests, calls))
+    (whole, whole_requests, _), (split, split_requests, calls) = runs
+    assert whole_requests == [whole.images] * 3
+    assert split_requests == [[k] for k in split.images] * 3
+    assert calls == [slice(0, 16)] * 3
+    assert split.gather().tobytes() == whole.gather().tobytes()
+    assert split.counters == whole.counters

@@ -220,6 +220,28 @@ def test_huge_integer_literal_is_a_positioned_parse_error(old, new):
         f"is too long"]
 
 
+@pytest.mark.parametrize("old,new,literal", [
+    ("U(0) = U(-1) + U(+1)", "U(0) = U(-1) * 1.0e999", "1.0e999"),
+    ("allocate(U(0:M+1)[*])", "allocate(U(0:M+1)[*])\n  r = -2.5d400",
+     "2.5d400"),
+], ids=["kernel", "host"])
+def test_real_literal_that_overflows_is_a_positioned_parse_error(old, new,
+                                                                 literal):
+    text = MINIMAL.replace(old, new, 1).replace(
+        "  integer :: device\n", "  integer :: device\n  real :: r\n", 1)
+    line = next(n for n, row in enumerate(text.splitlines(), 1)
+                if literal in row)
+    col = text.splitlines()[line - 1].index(literal) + 1
+    program, diags = parse_source(text, "t.lope")
+    assert program is None
+    assert [d.render() for d in diags] == [
+        f"t.lope:{line}:{col}: error[E002]: expected a finite real literal, "
+        f"found '{literal}'"]
+    # the largest finite literals still parse
+    parse_ok(text.replace(literal, literal.replace("999", "308")
+                          .replace("400", "307")))
+
+
 def test_parse_source_calls_tokenize_and_parse_once(monkeypatch):
     # the benchmark times the lexer and the parser by wrapping these two
     # module attributes

@@ -5,6 +5,7 @@ collects min/max read offsets per dimension.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -158,6 +159,25 @@ KERNEL_SHAPES = {
         "U", "  integer, dimension(:,:), HALO(1:*:1, 1:*:1) :: U",
         "  U(0,0) = U(1,0)"), "E104", 2),
 }
+
+
+def avg3_divided_by(divisor: str) -> str:
+    return (CORPUS / "avg3.lope").read_text().replace(") / 3",
+                                                      f") / {divisor}", 1)
+
+
+# 1 followed by 400 zeros: a float of it overflows
+HUGE_DIVISOR = avg3_divided_by("1" + "0" * 400)
+
+
+def test_kernel_integer_literal_too_large_for_a_real_is_e104():
+    """Kernels compute in real, so their integer literals must convert."""
+    assert diagnostics_of(HUGE_DIVISOR, "avg3.lope") == [
+        "avg3.lope:5:35: error[E104]: integer literal of 401 digits is too "
+        "large for a real"]
+    # the largest integer a real holds exactly is still a kernel literal
+    assert diagnostics_of(avg3_divided_by(str(int(sys.float_info.max)))) \
+        == []
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
