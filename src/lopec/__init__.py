@@ -2,7 +2,7 @@
 
 The pipeline is: :mod:`lopec.lexer` / :mod:`lopec.parser` build the AST
 (:mod:`lopec.ast`), :mod:`lopec.checks` enforces the static race-freedom
-rules, :mod:`lopec.ir` lowers kernels to a stencil IR with an explicit
+rules, :mod:`lopec.ir` evaluates checked kernel bodies and owns the
 column-major storage mapping, :mod:`lopec.codegen` prints C kernel source,
 :mod:`lopec.plan` prints the host program as an action plan, and
 :mod:`lopec.runtime` runs the checked host program on P simulated images

@@ -9,6 +9,7 @@ Kernels are checked for the communication-avoiding discipline:
 * kernels reference nothing but their parameters, local scalars, the
   intrinsics ``abs, min, max, sqrt`` at their ``ARITY``, and integer
   literals that a real can hold (E104);
+* a kernel local is assigned before it is read, in statement order (E011);
 * a kernel has at least one array parameter, and its array parameters are
   all ``real`` (E104) and share one rank of at most 3 (E012), the only
   signatures the C emitter and the runtime translate.
@@ -169,11 +170,12 @@ def check_kernel(kernel: ast.KernelDef):
             f"kernel '{kernel.name}' has no array parameter"))
 
     known_scalars = set(info.scalar_params) | set(info.local_scalars)
+    unassigned = set(info.local_scalars)
     stored: set[str] = set()
 
     def read_expr(e: ast.Expr) -> None:
         if isinstance(e, ast.IntLit) and e.value > sys.float_info.max:
-            # kernels compute in real, so lowering converts the literal
+            # kernels compute in real, so the literal is converted to one
             diags.append(error(IMPURE_KERNEL, e.pos, f"integer literal of "
                                f"{len(str(e.value))} digits is too large "
                                f"for a real"))
@@ -190,6 +192,11 @@ def check_kernel(kernel: ast.KernelDef):
                         UNDECLARED, e.pos,
                         f"'{e.name}' is not declared in kernel "
                         f"'{kernel.name}'"))
+            elif e.name in unassigned:
+                diags.append(error(
+                    UNDECLARED, e.pos,
+                    f"kernel local '{e.name}' is read before it is "
+                    f"assigned"))
             return
         if isinstance(e, ast.OffsetRef):
             if e.array not in info.array_params:
@@ -265,6 +272,7 @@ def check_kernel(kernel: ast.KernelDef):
                 diags.append(error(
                     UNDECLARED, lhs.pos,
                     f"'{lhs.name}' is not declared in kernel '{kernel.name}'"))
+            unassigned.discard(lhs.name)
         else:
             diags.append(error(
                 IMPURE_KERNEL, lhs.pos,

@@ -10,11 +10,12 @@ index follows the column-major padded layout, highest dimension first::
     const int idx = (j+hlo1)*(M+hlo0+hhi0) + (i+hlo0);
     ... u_in[(j+hlo1)*(M+hlo0+hhi0) + (i+hlo0) + (-1)] ...   // U(-1,0)
 
-Emission is pure text generation from the IR: same IR, same bytes.  A
-centre read that follows a centre store reads the output buffer so the C
-matches the interpreter's pending-centre semantics.  The IR comes from a
-checked kernel, so its array parameters are real and share one rank of at
-most 3.
+Emission is pure text generation from the checked kernel's statements,
+printed as they stand in the AST: same kernel, same bytes.  A centre read
+that follows a centre store reads the output buffer so the C matches the
+interpreter's pending-centre semantics.  The kernel is checked, so its
+array parameters are real and share one rank of at most 3, and every local
+is assigned before it is read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .ir import (Add, Const, Div, IntrinsicCall, IRExpr, KernelIR, Mul, Neg,
-                 Read, ScalarRead)
+from . import ast
+from .ir import KernelIR
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,12 @@ def emit_kernel_source(ir: KernelIR, config: EmitConfig = EmitConfig()) -> str:
                  if ir.param_types.get(name, "real") == "real" else "int")
         lines.append(f"{INDENT}{ctype} {name};")
     for st in ir.body:
-        rhs = emitter.expr(st.expr, 0)
-        if st.is_array:
-            lines.append(f"{INDENT}{st.target}_out[idx] = {rhs};")
-            emitter.center_stored.add(st.target)
+        rhs = emitter.expr(st.rhs, 0)
+        if isinstance(st.lhs, ast.OffsetRef):
+            lines.append(f"{INDENT}{st.lhs.array}_out[idx] = {rhs};")
+            emitter.center_stored.add(st.lhs.array)
         else:
-            lines.append(f"{INDENT}{st.target} = {rhs};")
+            lines.append(f"{INDENT}{st.lhs.name} = {rhs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -102,7 +103,7 @@ class _Emitter:
             terms.append(f"({offsets[0]})")
         return " + ".join(terms)
 
-    def read(self, e: Read) -> str:
+    def read(self, e: ast.OffsetRef) -> str:
         if all(o == 0 for o in e.offsets):
             buffer = "_out" if e.array in self.center_stored else "_in"
             return f"{e.array}{buffer}[idx]"
@@ -115,30 +116,26 @@ class _Emitter:
         return text
 
     # Precedence: additive 1, multiplicative 2, unary 3, primary 4.
-    def expr(self, e: IRExpr, parent_prec: int) -> str:
-        if isinstance(e, Const):
-            return self.const(e.value)
-        if isinstance(e, ScalarRead):
+    def expr(self, e: ast.Expr, parent_prec: int) -> str:
+        if isinstance(e, (ast.IntLit, ast.RealLit)):
+            return self.const(float(e.value))
+        if isinstance(e, ast.Ident):
             return e.name
-        if isinstance(e, Read):
+        if isinstance(e, ast.OffsetRef):
             return self.read(e)
-        if isinstance(e, Add):
-            if isinstance(e.right, Neg):
-                text = (f"{self.expr(e.left, 0)} - "
-                        f"{self.expr(e.right.operand, 1)}")
-            else:
-                text = f"{self.expr(e.left, 0)} + {self.expr(e.right, 1)}"
-            return f"({text})" if parent_prec >= 1 else text
-        if isinstance(e, Mul):
-            text = f"{self.expr(e.left, 1)}*{self.expr(e.right, 1)}"
+        if isinstance(e, ast.Bin):
+            if e.op in ("+", "-"):
+                text = f"{self.expr(e.left, 0)} {e.op} {self.expr(e.right, 1)}"
+                return f"({text})" if parent_prec >= 1 else text
+            right = self.expr(e.right, 1 if e.op == "*" else 2)
+            text = f"{self.expr(e.left, 1)}{e.op}{right}"
             return f"({text})" if parent_prec >= 2 else text
-        if isinstance(e, Div):
-            text = f"{self.expr(e.left, 1)}/{self.expr(e.right, 2)}"
-            return f"({text})" if parent_prec >= 2 else text
-        if isinstance(e, Neg):
-            return f"-{self.expr(e.operand, 3)}"
-        if isinstance(e, IntrinsicCall):
-            fn, args = _INTRINSIC_C[e.fn], [self.expr(a, 0) for a in e.args]
+        if isinstance(e, ast.Neg):
+            # a negation of a negation is parenthesized: "--" is C's decrement
+            text = f"-{self.expr(e.operand, 3)}"
+            return f"({text})" if parent_prec >= 3 else text
+        if isinstance(e, ast.Call):
+            fn, args = _INTRINSIC_C[e.name], [self.expr(a, 0) for a in e.args]
             # fmin and fmax take two arguments: fold left, as the runtime
             return (f"{fn}({args[0]})" if len(args) == 1 else
                     functools.reduce(lambda x, y: f"{fn}({x}, {y})", args))

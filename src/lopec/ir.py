@@ -1,10 +1,10 @@
-"""Stencil IR, kernel lowering, and storage-layout index mapping.
+"""Checked kernels, their interpretation, and storage-layout index mapping.
 
-The IR is a small expression tree over per-point reads: ``Read(array,
-offsets)`` fetches the element at the launch point displaced by constant
-offsets, ``ScalarRead`` fetches a scalar parameter or kernel local.  Surface
-binary minus is normalized away (``a - b`` becomes ``Add(a, Neg(b))``) so
-consumers handle one additive form.
+``KernelIR`` is a checked kernel's metadata (parameters, ranks, types,
+locals, read footprints) next to its body, the kernel's own list of
+``ast.Assign``.  Nothing rewrites the body: ``run_body`` here and the C
+emitter in ``codegen`` both read the statements as they stand in the AST,
+so ``a - b`` is one subtraction in both.
 
 ``StorageLayout`` describes the per-image padded block (interior extents
 plus halo widths per side, stored column-major) and owns its index map,
@@ -27,91 +27,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from . import ast
 from .checks import Footprint, KernelInfo
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-    def __repr__(self):
-        return f"Const({self.value!r})"
-
-
-@dataclass(frozen=True)
-class ScalarRead:
-    name: str
-
-    def __repr__(self):
-        return f"ScalarRead({self.name})"
-
-
-@dataclass(frozen=True)
-class Read:
-    array: str
-    offsets: tuple[int, ...]
-
-    def __repr__(self):
-        return f"Read({self.array},{self.offsets})"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "IRExpr"
-    right: "IRExpr"
-
-    def __repr__(self):
-        return f"Add({self.left!r},{self.right!r})"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "IRExpr"
-    right: "IRExpr"
-
-    def __repr__(self):
-        return f"Mul({self.left!r},{self.right!r})"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "IRExpr"
-    right: "IRExpr"
-
-    def __repr__(self):
-        return f"Div({self.left!r},{self.right!r})"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "IRExpr"
-
-    def __repr__(self):
-        return f"Neg({self.operand!r})"
-
-
-@dataclass(frozen=True)
-class IntrinsicCall:
-    fn: str                       # abs | min | max | sqrt
-    args: tuple["IRExpr", ...]
-
-    def __repr__(self):
-        return f"{self.fn}({','.join(map(repr, self.args))})"
-
-
-IRExpr = Union[Const, ScalarRead, Read, Add, Mul, Div, Neg, IntrinsicCall]
-
-
-@dataclass(frozen=True)
-class IRAssign:
-    target: str
-    is_array: bool                # True: centre store; False: local scalar
-    expr: IRExpr
 
 
 @dataclass
@@ -123,7 +44,7 @@ class KernelIR:
     param_types: dict[str, str]
     local_scalars: list[str]
     footprints: dict[str, Footprint]
-    body: list[IRAssign]
+    body: list[ast.Assign]        # a centre store or a local assignment each
 
     @property
     def rank(self) -> int:
@@ -133,58 +54,18 @@ class KernelIR:
     def stored_arrays(self) -> list[str]:
         seen = []
         for st in self.body:
-            if st.is_array and st.target not in seen:
-                seen.append(st.target)
+            if isinstance(st.lhs, ast.OffsetRef) and st.lhs.array not in seen:
+                seen.append(st.lhs.array)
         return seen
 
 
-# ---------------------------------------------------------------------------
-# Lowering
-
-
 def lower_kernel(info: KernelInfo) -> KernelIR:
-    """Lower a checked kernel to IR.  The kernel must be diagnostic-free."""
-    body = []
-    for stmt in info.kernel.body:
-        assert isinstance(stmt, ast.Assign)
-        expr = _lower_expr(stmt.rhs)
-        lhs = stmt.lhs
-        if isinstance(lhs, ast.OffsetRef):
-            body.append(IRAssign(lhs.array, True, expr))
-        else:
-            assert isinstance(lhs, ast.Ident)
-            body.append(IRAssign(lhs.name, False, expr))
+    """A checked kernel's metadata and statements.  The kernel must be
+    diagnostic-free; the statements are shared with its AST, not copied."""
     return KernelIR(info.kernel.name, list(info.array_params),
                     list(info.scalar_params), dict(info.param_rank),
                     dict(info.param_types), list(info.local_scalars),
-                    dict(info.footprints), body)
-
-
-def _lower_expr(e: ast.Expr) -> IRExpr:
-    if isinstance(e, ast.IntLit):
-        return Const(float(e.value))
-    if isinstance(e, ast.RealLit):
-        return Const(e.value)
-    if isinstance(e, ast.Ident):
-        return ScalarRead(e.name)
-    if isinstance(e, ast.OffsetRef):
-        return Read(e.array, e.offsets)
-    if isinstance(e, ast.Neg):
-        return Neg(_lower_expr(e.operand))
-    if isinstance(e, ast.Bin):
-        left = _lower_expr(e.left)
-        right = _lower_expr(e.right)
-        if e.op == "+":
-            return Add(left, right)
-        if e.op == "-":
-            return Add(left, Neg(right))
-        if e.op == "*":
-            return Mul(left, right)
-        if e.op == "/":
-            return Div(left, right)
-    if isinstance(e, ast.Call):
-        return IntrinsicCall(e.name, tuple(_lower_expr(a) for a in e.args))
-    raise TypeError(f"cannot lower {type(e).__name__}")
+                    dict(info.footprints), list(info.kernel.body))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +211,9 @@ class Workspace:
         return ufunc(a)
 
 
-_BINARY = {Add: (operator.add, np.add), Mul: (operator.mul, np.multiply),
-           Div: (operator.truediv, np.true_divide)}
+_BINARY = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
+           "*": (operator.mul, np.multiply),
+           "/": (operator.truediv, np.true_divide)}
 _UNARY = {"abs": np.abs, "sqrt": np.sqrt}
 _FOLD = {"min": np.minimum, "max": np.maximum}
 
@@ -360,46 +242,43 @@ def run_body(ir: KernelIR, read: Callable[[str, tuple[int, ...]], object],
     if workspace is not None:
         workspace.reset()
     for st in ir.body:
-        value = _ev(st.expr, env, pending, read, workspace)
+        value = _ev(st.rhs, env, pending, read, workspace)
         if workspace is not None:
             workspace.pin(value)
-        if st.is_array:
-            pending[st.target] = value
+        if isinstance(st.lhs, ast.OffsetRef):
+            pending[st.lhs.array] = value
         else:
-            env[st.target] = value
+            env[st.lhs.name] = value
     return pending
 
 
-def _ev(e: IRExpr, env: dict, pending: dict, read, ws: Workspace | None):
+def _ev(e: ast.Expr, env: dict, pending: dict, read, ws: Workspace | None):
     # A module-level recursion: a nested closure that calls itself forms a
     # reference cycle that keeps ``read`` and every slab alive until the
     # cyclic collector runs.
     t = type(e)
-    if t is Read:
+    if t is ast.OffsetRef:
         if e.array in pending and not any(e.offsets):
             return pending[e.array]
         return read(e.array, e.offsets)
-    ops = _BINARY.get(t)
-    if ops is not None:
+    if t is ast.Bin:
+        ops = _BINARY[e.op]
         a = _ev(e.left, env, pending, read, ws)
         b = _ev(e.right, env, pending, read, ws)
         return ops[0](a, b) if ws is None else ws.binary(ops[1], a, b)
-    if t is Const:
+    if t is ast.RealLit or t is ast.IntLit:
         return np.float64(e.value)
-    if t is ScalarRead:
-        if e.name not in env:
-            raise KeyError(f"kernel local '{e.name}' read before "
-                           f"assignment")
+    if t is ast.Ident:
         return env[e.name]
-    if t is Neg:
+    if t is ast.Neg:
         a = _ev(e.operand, env, pending, read, ws)
         return -a if ws is None else ws.unary(np.negative, a)
-    if t is IntrinsicCall:
+    if t is ast.Call:
         args = [_ev(a, env, pending, read, ws) for a in e.args]
-        if e.fn in _UNARY:
-            fn = _UNARY[e.fn]
+        if e.name in _UNARY:
+            fn = _UNARY[e.name]
             return fn(args[0]) if ws is None else ws.unary(fn, args[0])
-        fold = _FOLD.get(e.fn)
+        fold = _FOLD.get(e.name)
         if fold is not None:
             acc = args[0]
             for x in args[1:]:

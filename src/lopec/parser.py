@@ -40,10 +40,9 @@ KERNEL_INTRINSICS = frozenset({"abs", "min", "max", "sqrt"})
 # The deepest expression accepted, in levels: a name, literal, offset
 # reference or ':' is one level, and each operator, sign, call, section
 # and parenthesized group adds one above its deepest operand.  Checks,
-# lowering, codegen, the plan printer, the runtime and the AST dump all
-# recurse over expression trees, and each handles this depth within
-# Python's default recursion limit; generated kernels of 40 terms reach
-# about 45 levels.
+# codegen, the plan printer, the runtime and the AST dump all recurse over
+# expression trees, and each handles this depth within Python's default
+# recursion limit; generated kernels of 40 terms reach about 45 levels.
 MAX_EXPR_DEPTH = 128
 
 KW, IDENT = TokenKind.KW, TokenKind.IDENT

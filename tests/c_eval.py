@@ -21,6 +21,7 @@ _TOKEN_RE = re.compile(r"""
     \s*(?:
       (?P<num>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?f?|\d+)
     | (?P<name>[A-Za-z_]\w*)
+    | (?P<incdec>--|\+\+)
     | (?P<punct>[-+*/()\[\]{},;=])
     )""", re.VERBOSE)
 
@@ -41,6 +42,10 @@ def tokenize(text: str) -> list[tuple[str, str]]:
         pos = m.end()
         if m.lastgroup is None:
             break
+        if m.lastgroup == "incdec":
+            # C scans "--" and "++" as one token, an increment or decrement,
+            # never as two signs; kernels modify no operand
+            raise CSyntaxError(f"{m.group('incdec')!r} modifies its operand")
         tokens.append((m.lastgroup, m.group(m.lastgroup)))
     tokens.append(("eof", ""))
     return tokens

@@ -84,7 +84,7 @@ def test_emit_rejects_diagnostics(capsys):
     assert "error[E104]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "emit"])
+@pytest.mark.parametrize("command", ["check", "emit", "run"])
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_untranslatable_kernel_is_a_diagnostic(tmp_path, capsys, command,
                                                shape):

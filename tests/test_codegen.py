@@ -5,13 +5,16 @@ interpreter in c_eval.py and comparing, element for element, against the
 simulator's own launch results on identical snapshots.
 """
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from c_eval import parse_kernel, run_work_items
-from conftest import CORPUS, GOLDEN, compile_file, compile_source
+from c_eval import CSyntaxError, parse_kernel, run_work_items
+from conftest import CORPUS, GOLDEN, compile_file, compile_source, gen
+from lopec.checks import check_program
+from lopec.parser import parse_source
 from lopec.codegen import EXTENT_SYMBOLS, EmitConfig, emit_kernel_source
 from lopec.ir import StorageLayout, lower_kernel
 from lopec.runtime import Machine, RunConfig
@@ -157,15 +160,35 @@ def test_emitted_c_equals_simulator_on_laplacian():
     assert np.array_equal(sim, cint)
 
 
+def _random_read(rng):
+    dx, dy = rng.randrange(-2, 3), rng.randrange(-2, 3)
+    sx = "+" if dx > 0 else ""
+    sy = "+" if dy > 0 else ""
+    return f"U({sx}{dx},{sy}{dy})"
+
+
+def _random_term(rng):
+    """A read, scaled, negated once or twice, multiplied by a second read,
+    or the min or max of two reads."""
+    read = _random_read(rng)
+    form = rng.randrange(7)
+    if form == 0:
+        return f"{rng.uniform(0.1, 1.9):.3f}*{read}"
+    if form == 1:
+        return f"-{read}"
+    if form == 2:
+        return rng.choice([f"-(-{read})", f"- -{read}"])
+    if form == 3:
+        return f"{read}*{_random_read(rng)}"
+    if form == 4:
+        return f"{rng.choice(['min', 'max'])}({read}, {_random_read(rng)})"
+    return read
+
+
 def _random_body(rng):
-    terms = []
-    for _ in range(rng.randrange(1, 5)):
-        dx, dy = rng.randrange(-2, 3), rng.randrange(-2, 3)
-        sx = "+" if dx > 0 else ""
-        sy = "+" if dy > 0 else ""
-        coef = rng.choice(["", f"{rng.uniform(0.1, 1.9):.3f}*"])
-        terms.append(f"{coef}U({sx}{dx},{sy}{dy})")
-    expr = " + ".join(terms)
+    expr = _random_term(rng)
+    for _ in range(rng.randrange(0, 4)):
+        expr += rng.choice([" + ", " - ", " + -"]) + _random_term(rng)
     if rng.random() < 0.4:
         expr = f"({expr}) / {rng.randrange(2, 5)}"
     if rng.random() < 0.25:
@@ -193,6 +216,43 @@ def test_min_and_max_of_many_arguments_nest_in_c():
     field = np.random.default_rng(14).uniform(-1, 1, (6, 6))
     sim, cint = run_both(text, field)
     assert np.array_equal(sim, cint)
+
+
+@pytest.mark.parametrize("rhs", ["-(-U(1,0))", "- -U(1,0)"], ids=str)
+def test_double_negation_is_not_a_c_decrement(rhs):
+    text = TEMPLATE.format(body=f"  U(0,0) = {rhs}")
+    ir = lower_kernel(compile_source(text).kernels["k"])
+    assert "    u_out[idx] = -(-u_in[" in emit_kernel_source(ir, EmitConfig())
+    field = np.random.default_rng(15).uniform(-1, 1, (6, 6))
+    sim, cint = run_both(text, field)
+    assert np.array_equal(sim, cint)
+
+
+@pytest.mark.parametrize("op", ["--", "++"])
+def test_c_oracle_rejects_increment_and_decrement(op):
+    with pytest.raises(CSyntaxError):
+        parse_kernel("__kernel void k(__global float* u_out)\n"
+                     f"{{\n    u_out[0] = {op}u_out[1];\n}}\n")
+
+
+# SHA-256 of the float then the double emission of every kernel of
+# ``gen.generate(seed=11)`` that checks clean, in generation order; any
+# change in the C text of a generated kernel changes it
+GENERATED_C_DIGEST = (
+    "39c885eabfa8e6414e9a6b97d8936b2a4562253651d26637442c445d751700e7")
+
+
+def test_generated_kernels_emit_the_pinned_c():
+    digest = hashlib.sha256()
+    for prog in gen.generate(seed=11):
+        program, _ = parse_source(prog.text, prog.name)
+        result = check_program(program)
+        if not result.ok:
+            continue
+        ir = lower_kernel(result.kernels[prog.kernel])
+        for real in ("float", "double"):
+            digest.update(emit_kernel_source(ir, EmitConfig(real)).encode())
+    assert digest.hexdigest() == GENERATED_C_DIGEST
 
 
 ASYMMETRIC = """\

@@ -143,8 +143,8 @@ end program main
 """
 
 
-# Kernel signatures the translator has no form for, each with the one
-# diagnostic it gets: (source, code, line)
+# Kernels the translator has no form for, each with the one diagnostic it
+# gets: (source, code, line)
 KERNEL_SHAPES = {
     "no-array": (kernel_only("S", "  real :: S", "  S = 1.0"), "E104", 1),
     "mixed-rank": (kernel_only(
@@ -158,6 +158,9 @@ KERNEL_SHAPES = {
     "integer-array": (kernel_only(
         "U", "  integer, dimension(:,:), HALO(1:*:1, 1:*:1) :: U",
         "  U(0,0) = U(1,0)"), "E104", 2),
+    "local-read-before-assignment": (kernel_only(
+        "U", "  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U\n  real :: t",
+        "  U(0,0) = t + U(1,0)\n  t = 1.0"), "E011", 4),
 }
 
 
@@ -202,6 +205,15 @@ def test_kernel_scalar_state_flows():
         "  real, dimension(:,:), HALO(2:*:2, 2:*:2) :: U",
         "  real, dimension(:,:), HALO(2:*:2, 2:*:2) :: U\n  real :: t")
     assert codes(text) == ["E011"]       # s is never defined
+
+
+def test_kernel_local_read_by_its_own_first_assignment_is_e011():
+    text = kernel_only(
+        "U", "  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U\n  real :: t",
+        "  t = t + 1.0\n  U(0,0) = t*U(1,0)")
+    assert diagnostics_of(text, "k.lope") == [
+        "k.lope:4:7: error[E011]: kernel local 't' is read before it is "
+        "assigned"]
 
 
 # -- declaration rules ----------------------------------------------------
