@@ -33,18 +33,12 @@ class ProcessGrid:
         pcol = ((image - 1) // self.mp) + 1
         return pcol, prow
 
-    def image_at(self, pcol: int, prow: int) -> int:
-        """Image index at cyclically wrapped grid coordinates."""
+    def image_at(self, pcol, prow):
+        """Image index at cyclically wrapped grid coordinates: ints or
+        broadcastable integer arrays."""
         pc = ((pcol - 1) % self.np) + 1
         pr = ((prow - 1) % self.mp) + 1
         return (pc - 1) * self.mp + pr
-
-    def neighbor(self, image: int, axis: int, delta: int) -> int:
-        """Cyclic neighbour along axis 0 (pcol) or 1 (prow)."""
-        pcol, prow = self.coords(image)
-        if axis == 0:
-            return self.image_at(pcol + delta, prow)
-        return self.image_at(pcol, prow + delta)
 
 
 def create_grid(p: int, mp: int) -> ProcessGrid:

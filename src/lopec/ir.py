@@ -23,7 +23,6 @@ allocated.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -122,28 +121,6 @@ class StorageLayout:
         first, last = zip(*ranges)
         stop = self.at([b + 1 for b in last], offsets)
         return tuple(map(slice, self.at(first, offsets), stop))
-
-    @functools.cached_property
-    def halo_sides(self) -> tuple[tuple[tuple[tuple, tuple, str], ...], ...]:
-        """Per dimension, one ``(halo, source, side)`` per nonempty halo
-        side: the index of the halo, the index of the interior slab that
-        fills it from the neighbour on that side, and "low" or "high".
-        Both span the whole padded extent of the other dimensions."""
-        box = [(1 - lo, m + hi)
-               for m, lo, hi in zip(self.interior, self.lo, self.hi)]
-
-        def span(d: int, first: int, last: int) -> tuple[slice, ...]:
-            return self.slab(box[:d] + [(first, last)] + box[d + 1:])
-
-        sides = []
-        for d, (m, lo, hi) in enumerate(zip(self.interior, self.lo, self.hi)):
-            dim = []
-            if lo:
-                dim.append((span(d, 1 - lo, 0), span(d, m - lo + 1, m), "low"))
-            if hi:
-                dim.append((span(d, m + 1, m + hi), span(d, 1, hi), "high"))
-            sides.append(tuple(dim))
-        return tuple(sides)
 
 
 # ---------------------------------------------------------------------------

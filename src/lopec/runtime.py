@@ -11,8 +11,8 @@ Device subimages are simulated by a second stack of the same shape,
 allocated when the first image creates a mirror.  ``get_subimage`` returns
 a handle distinct from every image index when a device is present and
 falls back to ``this_image()`` otherwise; mirror allocation, mirror
-copies, and the per-dimension pull/push traffic of a device-resident halo
-exchange are all modelled and recorded in one event log.  The log holds
+copies, and the pull/push traffic of a device-resident halo exchange are
+all modelled and recorded in one event log.  The log holds
 compact records that each stand for many images; ``Machine.events``
 expands it into a fresh list of tuples on every read, and
 ``Machine.counters`` tallies it per image.
@@ -53,13 +53,14 @@ taken at launch.  Both orders produce bit-identical results because they
 run the same float64 operation tree per element.
 
 Halo exchange is collective and runs once every image has reached the same
-``halo_transfer``.  Each dimension and side is one gather along the image
-axis through a cyclic neighbour permutation computed once per machine; the
-device pull before it and the push after it are one slice each over all
-mirrored images.  Sweeps run dimension-ascending; every image finishes
-dimension d before any starts d+1, and slabs span the full padded extent
-of the other dimensions, so corner cells become correct transitively.
-Boundaries wrap cyclically (an image can be its own neighbour).
+``halo_transfer``.  It is one gather over the flat stack through a map
+built once per array (``DistributedArray.halo_map``): every halo cell of
+every image, and the interior cell on the owning image that fills it, a
+corner from the diagonal neighbour.  Boundaries wrap cyclically (an image
+can be its own neighbour).  Before the gather, one pull copies the cells
+that some halo reads from the device to the host over all mirrored
+images; after it, one push copies their halos back.  The event log still
+records the pulls, fills and pushes per dimension and side.
 
 ``oracle_step`` is the brute-force reference: it applies a kernel densely
 to the gathered global field with periodic indexing via ``numpy.roll`` —
@@ -68,6 +69,7 @@ no grid, no halo machinery — so distributed runs can be checked against it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -150,6 +152,38 @@ class DistributedArray:
     def view(self, image: int) -> np.ndarray:
         return self.host[..., image - 1]
 
+    @functools.cached_property
+    def halo_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dst, src, pull)``: what one halo exchange copies, as flat
+        column-major indices of the stacks.  Row k-1 of ``dst`` lists image
+        k's halo cells; ``src`` the interior cell that fills each, on the
+        image that owns it, so a corner comes from the diagonal neighbour;
+        ``pull`` the block offsets of the interior cells that some halo
+        reads.  Allocation keeps the layout, so the map is built once."""
+        layout, grid = self.layout, self.grid
+        padded, count = layout.padded(), layout.count()
+        halo = np.ones(padded, dtype=bool, order="F")
+        halo[layout.slab()] = False
+        dst_off = np.flatnonzero(halo.ravel(order="F"))
+        cells = np.unravel_index(dst_off, padded, order="F")
+        # A halo is never wider than a block, so a cell i places past
+        # interior position 1 is interior position i % m + 1 of the image
+        # i // m steps away along that dimension's grid axis.
+        steps, wrapped = zip(*[np.divmod(c - first, m) for c, first, m in zip(
+            cells, layout.at((1,) * layout.rank), layout.interior)])
+        source = layout.at([w + 1 for w in wrapped])
+        src_off = np.ravel_multi_index(source, padded, order="F")
+        pcol, prow = np.array([grid.coords(k) for k in range(1, grid.p + 1)]
+                              ).T[..., None]
+        owner = grid.image_at(pcol + steps[0],
+                              prow + (steps[1] if layout.rank > 1 else 0))
+        # the mask now marks the cells some halo reads, ascending
+        halo[...] = False
+        halo[source] = True
+        return (np.arange(grid.p)[:, None] * count + dst_off,
+                (owner - 1) * count + src_off,
+                np.flatnonzero(halo.ravel(order="F")))
+
 
 class Machine:
     """Builds the grid and images for a checked program and runs it."""
@@ -187,12 +221,6 @@ class Machine:
         self._pass: list[tuple] = []    # the records of this pass
         # vector-launch scratch, one per (kernel name, slab shape)
         self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
-        # 0-based cyclic neighbour of every image, per (grid axis, side):
-        # halo exchange gathers slabs along the image axis through these
-        self.neighbours = {
-            (axis, side): np.array([self.grid.neighbor(k, axis, delta) - 1
-                                    for k in self.images])
-            for axis in (0, 1) for side, delta in (("low", -1), ("high", 1))}
         self._inline_launches = False
         self._variant: set[int] = set()     # ids of variant statements
 
@@ -791,35 +819,34 @@ class Machine:
                                f"allocated", pos)
         # allocation is collective: image 1 stands for every image
         self._require_allocated(arr, 1, pos)
-        host, device = arr.host, arr.device
-        mirrored = (np.flatnonzero(arr.mirrored) + 1).tolist()
-        on_device = _index(mirrored) if mirrored else None
+        dst, src, pull = arr.halo_map
+        # column-major stacks, so these flat views share their memory
+        host = arr.host.reshape(-1, order="F")
+        on_device = np.flatnonzero(arr.mirrored)
+        if on_device.size:
+            # refresh the host copy of every cell a halo reads on a
+            # mirrored image
+            device = arr.device.reshape(-1, order="F")
+            cells = on_device[:, None] * arr.layout.count() + pull
+            host[cells] = device[cells]
+        # the sources are interior cells, so no halo reads a filled halo
+        host[dst] = host[src]
+        if on_device.size:
+            cells = dst[on_device]
+            device[cells] = host[cells]
+
+        # the event log records the transfers per dimension and side
+        mirrored = (on_device + 1).tolist()
         self._log.append(("halo_transfer", name))
-        for d, sides in enumerate(arr.layout.halo_sides):
+        for d, widths in enumerate(zip(arr.layout.lo, arr.layout.hi)):
+            sides = [side for side, w in zip(("low", "high"), widths) if w]
             if not sides:
                 continue
-            # Device path, phase 1: refresh the host copy of the slabs the
-            # neighbours will read from each mirrored image.
             if mirrored:
-                for _, source, _ in sides:
-                    host[source + (on_device,)] = device[source + (on_device,)]
                 self._log.append([("d2h", mirrored, (name, d))] * len(sides))
-
-            # Exchange on the host: every image completes dimension d
-            # before any image starts d+1 (corners become correct
-            # transitively because slabs span the full padded extent of the
-            # other dimensions).  Gathering through the neighbour
-            # permutation copies, so an image may be its own neighbour.
-            for halo, source, side in sides:
-                host[halo + (slice(None),)] = \
-                    host[source + (self.neighbours[d, side],)]
             self._log.append([("halo_fill", self.images, (name, d, side))
-                              for _, _, side in sides])
-
-            # Device path, phase 2: push the received halo slabs back down.
+                              for side in sides])
             if mirrored:
-                for halo, _, _ in sides:
-                    device[halo + (on_device,)] = host[halo + (on_device,)]
                 self._log.append([("h2d", mirrored, (name, d))] * len(sides))
 
     # -- gather / scatter --------------------------------------------------

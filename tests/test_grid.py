@@ -1,5 +1,6 @@
-"""Process-grid factorization, image numbering, and cyclic neighbours."""
+"""Process-grid factorization, image numbering, and cyclic wrapping."""
 
+import numpy as np
 import pytest
 
 from lopec.diagnostics import RuntimeFault
@@ -26,22 +27,17 @@ def test_image_at_wraps_cyclically():
     assert g.image_at(0, 1) == g.image_at(3, 1)
     assert g.image_at(1, 3) == g.image_at(1, 1)
     assert g.image_at(1, 0) == g.image_at(1, 2)
+    # a single image is its own neighbour on both axes
+    assert create_grid(1, 1).image_at(2, 0) == 1
+    assert create_grid(1, 1).image_at(0, 2) == 1
 
 
-def test_neighbors_wrap():
-    g = create_grid(4, 2)              # 2 x 2
-    assert g.neighbor(1, 0, +1) == 3   # east along pcol
-    assert g.neighbor(3, 0, +1) == 1   # wraps
-    assert g.neighbor(1, 1, +1) == 2   # south along prow
-    assert g.neighbor(2, 1, +1) == 1   # wraps
-    assert g.neighbor(1, 0, -1) == 3
-    assert g.neighbor(1, 1, -1) == 2
-
-
-def test_single_image_is_its_own_neighbor():
-    g = create_grid(1, 1)
-    assert g.neighbor(1, 0, +1) == 1
-    assert g.neighbor(1, 1, -1) == 1
+def test_image_at_broadcasts_over_arrays():
+    g = create_grid(6, 2)
+    pcol = np.array([[0], [1], [4]])
+    prow = np.array([0, 1, 3])
+    assert g.image_at(pcol, prow).tolist() == [
+        [g.image_at(int(c), int(r)) for r in prow] for c in pcol[:, 0]]
 
 
 @pytest.mark.parametrize("p,mp", [(5, 2), (6, 4), (1, 2), (0, 1)])

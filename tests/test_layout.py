@@ -14,8 +14,9 @@ import pytest
 
 from conftest import compile_source
 from lopec.diagnostics import RuntimeFault
+from lopec.grid import create_grid
 from lopec.ir import StorageLayout
-from lopec.runtime import Machine, RunConfig
+from lopec.runtime import DistributedArray, Machine, RunConfig
 
 
 def flat(lay, coords):
@@ -149,23 +150,32 @@ def test_slab_is_the_map_over_ranges():
         assert interior_cells.flat[0] == grid[lay.at((1,) * rank)]
 
 
-def test_halo_sides_fill_from_the_opposite_interior_edge():
-    lay = StorageLayout((5, 4), (1, 2), (3, 0))
-    grid = np.arange(lay.count()).reshape(lay.padded(), order="F")
-    low0, high0 = lay.halo_sides[0]
-    (low1,) = lay.halo_sides[1]
-    assert (low0[2], high0[2], low1[2]) == ("low", "high", "low")
-    # dim 1: the low halo (position 0) is filled from position 5 of the
-    # low neighbour, the high halo (6..8) from positions 1..3 of the high
-    # one; each slab spans every row of dim 2, halos included
-    assert grid[low0[0]].tolist() == grid[0:1, :].tolist()
-    assert grid[low0[1]].tolist() == grid[5:6, :].tolist()
-    assert grid[high0[0]].tolist() == grid[6:9, :].tolist()
-    assert grid[high0[1]].tolist() == grid[1:4, :].tolist()
-    # dim 2: a low halo of two, filled from positions 3..4
-    assert grid[low1[0]].tolist() == grid[:, 0:2].tolist()
-    assert grid[low1[1]].tolist() == grid[:, 4:6].tolist()
-    assert StorageLayout((3,), (0,), (0,)).halo_sides == ((),)
+def test_halo_map_fills_every_halo_from_an_interior_cell():
+    lay = StorageLayout((5, 4), (1, 2), (3, 0))     # padded 9 x 6
+    grid = create_grid(4, 2)                        # 2 x 2 images
+    dst, src, pull = DistributedArray(None, lay, grid).halo_map
+    count = lay.count()
+    interior = {int(flat(lay, lay.at((i, j))))
+                for i in range(1, 6) for j in range(1, 5)}
+    halo = sorted(set(range(count)) - interior)
+    # each image's row lists each of its halo cells once
+    assert dst.shape == src.shape == (4, 54 - 20)
+    for k in range(4):
+        assert sorted(dst[k].tolist()) == [k * count + c for c in halo]
+    # every source is an interior cell of some image
+    assert set((src % count).ravel().tolist()) <= interior
+    # the low-low corner of image 1 (pcol 1, prow 1) is filled from the
+    # diagonal neighbour, image 4, at interior (5, 3)
+    corner = dst[0].tolist().index(flat(lay, lay.at((0, -1))))
+    assert src[0, corner] == 3 * count + flat(lay, lay.at((5, 3)))
+    # the cells some halo reads: within a low width of the high edge or a
+    # high width of the low edge, per dimension (all but i = 4, j = 1..2)
+    assert pull.tolist() == sorted(
+        flat(lay, lay.at((i, j))) for i in range(1, 6) for j in range(1, 5)
+        if i in (1, 2, 3, 5) or j in (3, 4))
+    empty = DistributedArray(None, StorageLayout((3, 2), (0, 0), (0, 0)),
+                             grid).halo_map
+    assert [a.size for a in empty] == [0, 0, 0]
 
 
 def test_invalid_layout_rejected():

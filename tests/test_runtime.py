@@ -10,6 +10,7 @@ Key oracles:
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -161,6 +162,77 @@ def test_exchange_trials_randomized():
                     assert view[c0, c1] == field[g0, g1]
 
 
+EXCHANGE_TEMPLATE_1D = """\
+program main
+  real, allocatable, dimension(:), codimension[:], HALO({l0}:*:{h0}) :: U
+  allocate(U(1-{l0}:M+{h0})[*])
+  call HALO_TRANSFER(U, BC=CYCLIC)
+end program main
+"""
+
+
+def test_exchange_with_some_mirrors_moves_exactly_the_halo_traffic():
+    """Host and device stacks hold distinct random values and a random
+    subset of images is mirrored.  After one exchange, by periodic global
+    indexing: each halo cell holds its owner's interior value, read from
+    the device if the owner is mirrored; a mirrored image's host cells that
+    some halo reads equal its device cells; a mirrored image's device halos
+    equal its host halos; and nothing else moved."""
+    rng = np.random.default_rng(18)
+    # (images, grid rows): one image, one grid row, one grid column
+    grids = {1: [(1, 1), (2, 1), (4, 1)],
+             2: [(1, 1), (3, 1), (2, 2), (6, 3), (3, 3)]}
+    for trial in range(40):
+        rank = 1 + trial % 2
+        p, mp = grids[rank][trial // 2 % len(grids[rank])]
+        pgrid = (p // mp, mp)[:rank]
+        lo = [int(w) for w in rng.integers(0, 4, rank)]
+        hi = [int(w) for w in rng.integers(0, 4, rank)]
+        m = [int(rng.integers(max(1, a, b), 6)) for a, b in zip(lo, hi)]
+        if rank == 1:
+            text = EXCHANGE_TEMPLATE_1D.format(l0=lo[0], h0=hi[0])
+        else:
+            text = EXCHANGE_TEMPLATE.format(l0=lo[0], h0=hi[0],
+                                            l1=lo[1], h1=hi[1])
+        extents = [a * b for a, b in zip(m, pgrid)]
+        machine = run_machine(compile_source(text),
+                              np.zeros((extents + [1])[:2]),
+                              images=p, grid_rows=mp)
+        arr = machine.arrays["u"]
+        mirrored = rng.random(p) < rng.random()
+        arr.add_mirrors(np.flatnonzero(mirrored))
+        host = rng.uniform(-1, 1, arr.host.shape)
+        device = rng.uniform(-1, 1, arr.host.shape)
+        arr.host[...], arr.device[...] = host, device
+        machine._halo_exchange("u", None)
+
+        want_host, want_device = host.copy(), device.copy()
+        halo_cells = []
+        for k in machine.images:
+            place = machine.grid.coords(k)[:rank]
+            for cell in itertools.product(*map(range, arr.host.shape[:-1])):
+                j = [c - a + 1 for c, a in zip(cell, lo)]
+                if all(1 <= x <= n for x, n in zip(j, m)):
+                    continue
+                g = [((q - 1) * n + x - 1) % e
+                     for q, n, x, e in zip(place, m, j, extents)]
+                owner_place = [x // n + 1 for x, n in zip(g, m)] + [1]
+                owner = (owner_place[0] - 1) * mp + owner_place[1]
+                src = tuple(x % n + a for x, n, a in zip(g, m, lo)) \
+                    + (owner - 1,)
+                if mirrored[owner - 1]:
+                    want_host[src] = device[src]
+                halo_cells.append((cell + (k - 1,), src))
+        for dst, src in halo_cells:
+            want_host[dst] = (device if mirrored[src[-1]] else host)[src]
+        for dst, _ in halo_cells:
+            if mirrored[dst[-1]]:
+                want_device[dst] = want_host[dst]
+        case = (rank, p, mp, lo, hi, m, mirrored.tolist())
+        assert np.array_equal(arr.host, want_host), case
+        assert np.array_equal(arr.device, want_device), case
+
+
 # -- double buffering ------------------------------------------------------
 
 
@@ -310,6 +382,48 @@ def test_device_pull_ordering_per_dimension():
                      "d2h", "d2h", "halo_fill", "halo_fill", "h2d", "h2d",
                      "d2h", "d2h", "halo_fill", "halo_fill", "h2d", "h2d",
                      "launch", "d2h"]
+
+
+ONE_SIDED_PARTLY_MIRRORED = """\
+program main
+  real, allocatable, dimension(:), codimension[:], HALO(2:*:0) :: A
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  if (this_image() == 2) then
+    device = this_image()
+  end if
+  allocate(A(-1:M)[*])
+  if (device /= this_image()) then
+    allocate(A[device], HALO_SRC=A) [[device]]
+  end if
+  call HALO_TRANSFER(A, BC=CYCLIC)
+end program main
+"""
+
+
+def test_one_sided_exchange_with_some_mirrors_logs_each_side():
+    """A rank-1 exchange with a low halo only, images 1 and 3 mirrored:
+    one pull, one fill for every image and one push, in that order."""
+    machine = run_machine(compile_source(ONE_SIDED_PARTLY_MIRRORED),
+                          np.arange(12.0)[:, None], images=3, devices=1)
+    assert machine.events == [
+        ("device_alloc", 1, "a"), ("device_alloc", 3, "a"),
+        ("halo_transfer", "a"),
+        ("d2h", 1, "a", 0), ("d2h", 3, "a", 0),
+        ("halo_fill", 1, "a", 0, "low"), ("halo_fill", 2, "a", 0, "low"),
+        ("halo_fill", 3, "a", 0, "low"),
+        ("h2d", 1, "a", 0), ("h2d", 3, "a", 0)]
+    assert machine.counters == {
+        1: {"launches": 0, "device_launches": 0, "halo_transfers": 1,
+            "d2h": 1, "h2d": 2},
+        2: {"launches": 0, "device_launches": 0, "halo_transfers": 1,
+            "d2h": 0, "h2d": 0},
+        3: {"launches": 0, "device_launches": 0, "halo_transfers": 1,
+            "d2h": 1, "h2d": 2}}
+    arr = machine.arrays["a"]
+    assert arr.host.T.tolist() == [[10, 11, 0, 1, 2, 3], [2, 3, 4, 5, 6, 7],
+                                   [6, 7, 8, 9, 10, 11]]
+    assert arr.device[..., 1].tolist() == [0] * 6
 
 
 def test_device_events_per_image_match_the_single_image_sequence():
