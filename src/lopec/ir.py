@@ -14,15 +14,16 @@ against the runtime.
 
 ``run_body`` interprets a kernel body against a caller-supplied read
 callback.  Operands flow through numpy, so the same code evaluates whole
-slabs (vectorized launches, the dense oracle) and single float64 points
+arrays (vector launches, the dense oracle) and single float64 points
 (scrambled-order launches) with bit-identical arithmetic per element.  A
-caller that evaluates the same slab shape repeatedly passes a
-``Workspace``, and the slab temporaries are then reused instead of
-allocated.
+caller that evaluates the same window repeatedly passes a ``Workspace``:
+the window is then evaluated in chunks of at most ``CHUNK_LANES`` lanes,
+whose temporaries stay in cache and are reused instead of allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -127,21 +128,31 @@ class StorageLayout:
 # Interpretation
 
 
-class Workspace:
-    """Reusable slab buffers for ``run_body`` on one slab shape.
+# Most lanes in one chunk: a float64 temporary of 256 KiB stays in cache.
+CHUNK_LANES = 1 << 15
 
-    A call that is given a workspace writes every array-valued arithmetic
-    result into one of ``buffers`` through ``out=``.  A temporary goes back
-    to the free list as soon as the node that consumes it has run, so the
-    pool holds as many buffers as the body has live temporaries plus pinned
-    locals and stores, however many terms it has.  ``buffers`` grows only
-    on the first calls; every later call reuses them.  Arrays returned by a
-    call stay valid until the next call on the same workspace.
+
+class Workspace:
+    """Reusable buffers for ``run_body`` on one window of ``shape`` (every
+    read's), evaluated in chunks along axis 0 of at most ``CHUNK_LANES``.
+
+    Every array-valued result goes into one of ``buffers`` through ``out=``
+    and a temporary is freed once the node that consumes it has run, so the
+    pool holds the body's live temporaries plus pinned locals and stores
+    and grows only on the first calls.  Each chunk copies its stored values
+    into ``results``, one per stored array: the window and ``pad = (before,
+    after)`` rows around it, for a caller to reshape whole.  Without
+    ``pad``, one chunk's values are returned as evaluated.  Returned arrays
+    stay valid until the next call.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = shape
+    def __init__(self, shape: tuple[int, ...], pad: tuple | None = None):
+        self.shape, self.pad = shape, pad
+        # the rows of one chunk, spread evenly over as few chunks as fit
+        most = max(1, CHUNK_LANES // math.prod(shape[1:]))
+        self.rows = -(-shape[0] // -(-shape[0] // most))
         self.buffers: list[np.ndarray] = []
+        self.results: dict[str, np.ndarray] = {}
         self._free: list[np.ndarray] = []
         self._temps: set[int] = set()       # ids of unpinned temporaries
 
@@ -154,8 +165,8 @@ class Workspace:
         if self._free:
             buf = self._free.pop()
         else:
-            # column-major like the blocks, so slab operands stream in order
-            buf = np.empty(self.shape, dtype=np.float64, order="F")
+            # column-major like the blocks, so operands stream in order
+            buf = np.empty((self.rows,) + self.shape[1:], order="F")
             self.buffers.append(buf)
         self._temps.add(id(buf))
         return buf
@@ -201,7 +212,7 @@ def run_body(ir: KernelIR, read: Callable[[str, tuple[int, ...]], object],
     """Evaluate the kernel body; returns pending centre values per array.
 
     ``read(array, offsets)`` supplies operands — float64 scalars for a
-    single point or ndarray slabs for a whole range.  Every read of a
+    single point or ndarrays for a whole window.  Every read of a
     statement is evaluated before the caller writes any pending value back,
     so ``read`` may return views of the live buffers.  A centre read that
     follows a centre store observes the pending value, matching the
@@ -209,11 +220,31 @@ def run_body(ir: KernelIR, read: Callable[[str, tuple[int, ...]], object],
 
     Without ``workspace`` every operation allocates its result, so the
     returned arrays share no memory with those of any other call.  With a
-    ``workspace`` (slab-shaped, numpy operands) the results live in its
-    buffers and are valid until the next call on that workspace; the
-    arithmetic is the same ufunc sequence either way, so values are
-    bit-identical.
+    ``workspace`` (numpy operands) the window is evaluated chunk by chunk
+    in its buffers; the last chunk may overlap the one before, as a lane
+    evaluated twice gets the same bits.  The arithmetic is the same ufunc
+    sequence either way, so values are bit-identical.
     """
+    if workspace is None or (workspace.pad is None
+                             and workspace.rows == workspace.shape[0]):
+        return _evaluate(ir, read, scalars, workspace)
+    (n, *cell), rows = workspace.shape, workspace.rows
+    before, after = workspace.pad or (0, 0)
+    results, window = workspace.results, functools.cache(read)
+
+    def chunk(name: str, offsets: tuple[int, ...]):
+        return window(name, offsets)[lo:lo + rows]
+
+    for lo in range(0, n, rows):
+        lo = min(lo, n - rows)
+        for name, value in _evaluate(ir, chunk, scalars, workspace).items():
+            if name not in results:
+                results[name] = np.empty([before + n + after, *cell])
+            results[name][before + lo:before + lo + rows] = value
+    return {name: out[before:before + n] for name, out in results.items()}
+
+
+def _evaluate(ir: KernelIR, read, scalars, workspace) -> dict[str, object]:
     env: dict[str, object] = dict(scalars or {})
     pending: dict[str, object] = {}
     if workspace is not None:

@@ -31,21 +31,21 @@ round-robin order.  The log of a pass lists each image's events in turn.
 A cohort evaluates a uniform launch once per target kind and a variant
 one once per image.  Once every cohort has stopped, the launches that
 share a statement, ranges, scalars (by their bits) and target run as one
-``run_body`` call over ``(range..., images)`` slabs: the paper's model,
-where every image applies the same kernel to its own block, in one step
-instead of P.  A stacked slab holds at most ``STACK_CELLS`` cells, so a
-larger group is split along the image axis, and an image whose slab alone
-exceeds the cap launches by itself.
+``run_body`` call over all their blocks: the paper's model, where every
+image applies the same kernel to its own block, in one step instead of P.
+One call launches at most ``STACK_CELLS`` cells, so a larger group is
+split along the image axis, and an image whose range alone exceeds the
+cap launches by itself.
 
 Launches are double-buffered: every read sees the pre-launch values, and a
 centre read after a centre store sees the pending value.  The default
-vector order evaluates whole ranges at once, reading slabs straight from
-the live stacks; no store reaches them until the whole body has been
-evaluated, so no snapshot is needed.  A pending value that is still a view
-of a launched stack (a bare read such as ``V(0,0) = V(0,1)``) is copied
-before the first write-back, so aliased arguments cannot disturb it.  The
-arithmetic runs in a ``Workspace`` owned by the ``Machine``, one per
-(kernel, slab shape), whose buffers are reused by every later launch.  A
+vector order reads contiguous lanes of the flat stack, from the first
+launched point to the last, laid out with each side's widest halo: a read
+at ``offsets`` is that window moved by the emitted C's linear offset.
+``run_body`` evaluates it in cache-sized chunks in a ``Workspace`` owned
+by the ``Machine`` and fills a result buffer per stored array, of which
+only the launched cells are written back, so no snapshot is needed.
+Kernel arithmetic is IEEE, as in the emitted C, with no warning.  A
 ``shuffle_seed`` selects the point-at-a-time order instead, which exists
 to demonstrate order independence: it runs one image at a time and writes
 back point by point in a seeded random order, so it reads from a snapshot
@@ -90,8 +90,8 @@ from .symbols import MAX_HALO_WIDTH, ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
 DEFAULT_EXTENT_2D = 32
-# Most cells one stacked launch slab holds.  Stacking large blocks only
-# grows the workspace buffers, and with them the peak memory.
+# Most cells one stacked launch holds.  Stacking large blocks only grows
+# the launch's result buffers, and with them the peak memory.
 STACK_CELLS = 1 << 16
 _HOST_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              "==": operator.eq, "/=": operator.ne, "<": operator.lt,
@@ -740,6 +740,7 @@ class Machine:
                                pos)
         return arr
 
+    @np.errstate(all="ignore")
     def _run_launches(self,
                       requests: list[tuple[_Launch, list[int]]]) -> None:
         """Run image-local launches; those with equal keys run stacked."""
@@ -766,27 +767,35 @@ class Machine:
 
     def _launch_vector(self, kir, ranges, images, stacks, layouts,
                        scalars) -> None:
-        # No snapshot: run_body evaluates every read before any pending
-        # value is written back, so the slabs come from the live stacks.
-        # ``images`` is a slice of the image axis.
-        def read(name: str, offsets: tuple[int, ...]):
-            return stacks[name][layouts[name].slab(ranges, offsets)
-                                + (images,)]
+        # lanes over the blocks of ``images``, a slice of the image axis
+        sides = zip(*[(lay.lo, lay.hi) for lay in layouts.values()])
+        lanes = StorageLayout(next(iter(layouts.values())).interior,
+                              *[tuple(map(max, zip(*side))) for side in sides])
+        strides = [math.prod(lanes.padded()[:d]) for d in range(lanes.rank)]
+        start, last = [sum(map(operator.mul, lanes.at(corner), strides))
+                       for corner in zip(*ranges)]
+        blocks = lanes.padded() + (images.stop - images.start,)
+        n = math.prod(blocks) - lanes.count() + last - start + 1
+        flat = {}
+        for name, stack in stacks.items():
+            stack, lay = stack[..., images], layouts[name]
+            if lay != lanes:    # copy in; the rest feeds discarded lanes only
+                stack, block = np.zeros(blocks, order="F"), stack
+                stack[lanes.slab([(1 - lo, m + hi) for m, lo, hi in zip(
+                    lay.interior, lay.lo, lay.hi)])] = block
+            flat[name] = stack.reshape(-1, order="F")
 
-        shape = (tuple(hi - lo + 1 for lo, hi in ranges)
-                 + (images.stop - images.start,))
-        workspace = self.workspaces.get((kir.name, shape))
-        if workspace is None:
-            workspace = self.workspaces[kir.name, shape] = Workspace(shape)
-        pending = run_body(kir, read, scalars, workspace)
-        # A store of a bare read (``V(0,0) = V(0,1)``) leaves a view of a
-        # live stack pending; an earlier write-back could change it.
-        for name, value in pending.items():
-            if any(np.may_share_memory(value, stack)
-                   for stack in stacks.values()):
-                pending[name] = value.copy()
-        for name, value in pending.items():
-            stacks[name][layouts[name].slab(ranges) + (images,)] = value
+        def read(name: str, offsets: tuple[int, ...]):
+            lane0 = start + sum(map(operator.mul, offsets, strides))
+            return flat[name][lane0:lane0 + n]
+
+        key = (kir.name, (n,), (start, lanes.count() - 1 - last))
+        ws = self.workspaces.get(key) or self.workspaces.setdefault(
+            key, Workspace(*key[1:]))
+        # only the launched cells go back, through each array's own layout
+        for name in run_body(kir, read, scalars, ws):
+            stacks[name][layouts[name].slab(ranges) + (images,)] = ws.results[
+                name].reshape(blocks, order="F")[lanes.slab(ranges)]
 
     def _launch_pointwise(self, kir, ranges, buffers, snapshots, layouts,
                           scalars) -> None:

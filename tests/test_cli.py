@@ -13,7 +13,7 @@ from conftest import BAD, CORPUS, GOLDEN
 from lopec.arrayio import read_array, write_array_file
 from lopec.cli import main
 from lopec.parser import MAX_EXPR_DEPTH
-from test_runtime import DIVERGENT_HALO, NOT_AN_INTEGER
+from test_runtime import DIVERGENT_HALO, MIXED_HALOS, NOT_AN_INTEGER
 from test_sema import HUGE_DIVISOR, INTEGER_LAPLACIAN, KERNEL_SHAPES
 
 LAP = str(CORPUS / "laplacian.lope")
@@ -204,6 +204,36 @@ def test_run_shuffle_seed_output_identical(tmp_path):
     assert main(["run", LAP, "--steps", "2", "--input", str(src),
                  "--shuffle-seed", "42", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_divides_by_zero_silently_in_both_orders(tmp_path):
+    """Kernel arithmetic is IEEE, as in the emitted C: 0/0 and x/0 give
+    NaN and infinities without a warning, and the run exits 0."""
+    src = tmp_path / "div.lope"
+    src.write_text(MIXED_HALOS.replace("V(-2,0) + V(2,0) + U(0,1)",
+                                       "V(-2,0) / U(0,1)"))
+    field = np.random.default_rng(8).uniform(-1, 1, (8, 8))
+    field[:, 2:4] = 0.0
+    inp = tmp_path / "in.txt"
+    write_array_file(str(inp), field)
+    with np.errstate(all="ignore"):
+        want = np.roll(0.5 * field, 2, axis=0) / np.roll(field, -1, axis=1)
+    assert np.isnan(want).any() and np.isinf(want).any()
+    src_dir = pathlib.Path(lopec.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for order in ([], ["--shuffle-seed", "3"]):
+        out = tmp_path / f"out{len(outputs)}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lopec", "run", str(src), "--images", "4",
+             "--grid-rows", "2", "--input", str(inp), "-o", str(out), *order],
+            capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert np.array_equal(read_array(out.read_text()), want,
+                              equal_nan=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_run_bad_usage(capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import CORPUS, compile_file, compile_source
 from lopec.diagnostics import RuntimeFault
-from lopec.ir import Workspace, lower_kernel, run_body
+from lopec.ir import CHUNK_LANES, Workspace, lower_kernel, run_body
 from lopec import runtime
 from lopec.runtime import Machine, RunConfig, oracle_step
 
@@ -344,6 +344,87 @@ def test_execution_orders_are_bitwise_identical():
         got = run_machine(result, field.copy(), images=1, steps=2,
                           shuffle_seed=seed).gather()
         assert np.array_equal(base, got), seed
+
+
+def random_layout_program(rng) -> tuple[str, int]:
+    """A kernel over U and, half the time, V, each with its own halo widths
+    (0 to 3 per side), launched over a sub-range; image 2 keeps no mirror.
+    Returns the source and its rank."""
+    rank = int(rng.integers(1, 3))
+    names = ["U", "V"][:int(rng.integers(1, 3))]
+    widths = {a: rng.integers(0, 4, (rank, 2)).tolist() for a in names}
+
+    def ref(a, offsets):
+        return f"{a}({','.join(map(str, offsets))})"
+
+    def read(a):
+        return ref(a, [int(rng.integers(-lo, hi + 1))
+                       for lo, hi in widths[a]])
+
+    def halo(a):
+        return ", ".join(f"{lo}:*:{hi}" for lo, hi in widths[a])
+
+    dims = ", ".join([":"] * rank)
+    terms = [read(a) for a in names for _ in range(2)] + ["c"]
+    body = [f"  U{ref('', [0] * rank)} = " + " + 0.5*".join(terms)]
+    if len(names) == 2 and rng.integers(2):
+        # U is stored already, so V may read only its centre
+        body.append(f"  V{ref('', [0] * rank)} = {read('V')} - "
+                    f"{ref('U', [0] * rank)}")
+    extents = ["M", "N"][:rank]
+    bounds = {a: ", ".join(f"{1 - lo}:{m}+{hi}" for m, (lo, hi)
+                           in zip(extents, widths[a])) for a in names}
+    ranges = ", ".join(
+        f"{v}={1 + int(rng.integers(0, 2))}:{m}-{int(rng.integers(0, 2))}"
+        for v, m in zip("ij", extents))
+    centre = ",".join("ij"[:rank])
+    codims = "[:,:]" if rank == 2 else "[:]"
+    cobounds = "[MP,*]" if rank == 2 else "[*]"
+    lines = [f"pure concurrent subroutine k({', '.join(names)}, c)"]
+    lines += [f"  real, dimension({dims}), HALO({halo(a)}) :: {a}"
+              for a in names]
+    lines += ["  real :: c", *body, "end subroutine k", "",
+              "program main"]
+    lines += [f"  real, allocatable, dimension({dims}), codimension{codims}, "
+              f"HALO({halo(a)}) :: {a}" for a in names]
+    lines += ["  integer :: device", "  integer :: it",
+              "  device = GET_SUBIMAGE(1)",
+              "  if (this_image() == 2) then", "    device = this_image()",
+              "  end if"]
+    lines += [f"  allocate({a}({bounds[a]}){cobounds})" for a in names]
+    lines += ["  if (device /= this_image()) then"]
+    lines += [f"    allocate({a}[device], HALO_SRC={a}) [[device]]"
+              for a in names]
+    lines += ["  end if", "  do it = 1, nsteps"]
+    lines += [f"    call HALO_TRANSFER({a}, BC=CYCLIC)" for a in names]
+    args = ", ".join(f"{a}({centre})[device]" for a in names)
+    lines += [f"    do concurrent ({ranges}) [[device]]",
+              f"      call k( {args}, 0.25 )", "    end do", "  end do",
+              "end program main", ""]
+    return "\n".join(lines), rank
+
+
+def test_execution_orders_leave_byte_identical_stacks():
+    """Halos, cells outside the launch range and device mirrors included,
+    the vector order leaves every stack as the pointwise order does."""
+    rng = np.random.default_rng(2718)
+    for case in range(24):
+        text, rank = random_layout_program(rng)
+        result = compile_source(text)
+        shape = (24, 12) if rank == 2 else (24, 1)
+        field = rng.uniform(-1, 1, shape)
+        images, rows = [(1, 1), (2, 1), (4, 2 if rank == 2 else 1),
+                        (3, 1)][case % 4]
+        runs = [run_machine(result, field.copy(), images=images,
+                            grid_rows=rows, devices=1, steps=2,
+                            shuffle_seed=seed) for seed in (None, case)]
+        for name, arr in runs[0].arrays.items():
+            other = runs[1].arrays[name]
+            assert arr.host.tobytes() == other.host.tobytes(), (name, text)
+            assert (arr.device is None) == (other.device is None)
+            if arr.device is not None:
+                assert arr.device.tobytes() == other.device.tobytes(), (
+                    name, text)
 
 
 # -- device transparency and instrumentation ------------------------------
@@ -770,15 +851,20 @@ def test_workspace_stops_growing_after_the_first_launch():
 
     def spy(*args):
         launch(*args)
-        seen.append([id(buf) for buf in workspace_buffers(machine)])
+        seen.append(([id(buf) for buf in workspace_buffers(machine)],
+                     [id(buf) for ws in machine.workspaces.values()
+                      for buf in ws.results.values()]))
 
     machine._launch_vector = spy
     machine.run()
     # the four images launch stacked: one call per step
     assert len(seen) == 6
     assert all(ids == seen[0] for ids in seen)
-    assert 1 <= len(seen[0]) <= 2
-    assert list(machine.workspaces) == [("laplacian", (8, 8, 4))]
+    assert 1 <= len(seen[0][0]) <= 2 and len(seen[0][1]) == 1
+    # 10 x 10 padded blocks: the lanes run from interior point (1,1) of
+    # image 1, flat offset 11, to (8,8) of image 4, 3*100 + 89 - 11 + 1
+    # lanes, and the result buffer pads them to the four whole blocks
+    assert list(machine.workspaces) == [("laplacian", (378,), (11, 11))]
 
 
 def left_deep_sum_kernel(terms: int) -> str:
@@ -977,11 +1063,75 @@ end program main
 def test_scalars_equal_in_value_but_not_in_sign_launch_apart():
     # image 1 passes 0.0, the others -0.0, so 1/c is +inf or -inf
     result = compile_source(SIGNED_ZERO)
-    with np.errstate(divide="ignore"):
-        got = run_machine(result, np.zeros((8, 2)), images=4).gather()
+    got = run_machine(result, np.zeros((8, 2)), images=4).gather()
     want = np.full((8, 2), -1.0)
     want[:2] = 1.0
     assert np.array_equal(got, want)
+
+
+# -- arrays with different halos -------------------------------------------
+
+
+MIXED_HALOS = """\
+pure concurrent subroutine seed(V, U)
+  real, dimension(:,:), HALO(2:*:2, 0:*:0) :: V
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  V(0,0) = 0.5*U(0,0)
+end subroutine seed
+
+pure concurrent subroutine mix(U, V)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real, dimension(:,:), HALO(2:*:2, 0:*:0) :: V
+  U(0,0) = V(-2,0) + V(2,0) + U(0,1)
+end subroutine mix
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(2:*:2,0:*:0) :: V
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  allocate(V(-1:M+2, 1:N)[MP,*])
+  if (device /= this_image()) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+    allocate(V[device], HALO_SRC=V) [[device]]
+  end if
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call seed( V(i,j)[device], U(i,j)[device] )
+  end do
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    call HALO_TRANSFER(V, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call mix( U(i,j)[device], V(i,j)[device] )
+    end do
+  end do
+  if (device /= this_image()) then
+    U = U[device]
+  end if
+end program main
+"""
+
+
+def test_a_launch_over_arrays_with_different_halos_matches_roll():
+    """``mix`` reads V two cells away in dim 1 and U one cell on in dim 2,
+    from arrays whose halos differ; ``seed`` stores to the array with the
+    narrower layout.  Every decomposition gives the ``np.roll`` field."""
+    result = compile_source(MIXED_HALOS)
+    field = np.random.default_rng(21).uniform(-1, 1, (32, 16))
+    v = 0.5 * field
+    want = field
+    for _ in range(3):
+        want = np.roll(v, 2, axis=0) + np.roll(v, -2, axis=0) \
+            + np.roll(want, -1, axis=1)
+    for images in (1, 4, 16):
+        for rows in (r for r in range(1, images + 1) if images % r == 0):
+            for devices in (0, 1):
+                got = run_machine(result, field.copy(), images=images,
+                                  grid_rows=rows, devices=devices, steps=3)
+                assert got.gather().tobytes() == want.tobytes(), (
+                    images, rows, devices)
 
 
 # -- launch evaluation -----------------------------------------------------
@@ -1209,13 +1359,19 @@ def test_stacked_slabs_are_capped():
     machine._launch_vector = spy
     machine.run()
     assert calls == [slice(0, 4), slice(4, 8)]
-    assert list(machine.workspaces) == [("laplacian", (128, 128, 4))]
+    # the lanes of four 130 x 130 padded blocks, from flat offset 131
+    assert list(machine.workspaces) == [("laplacian", (67338,), (131, 131))]
     kir = lower_kernel(result.kernels["laplacian"])
     assert np.array_equal(machine.gather(), oracle_step(field, kir))
-    # a block over the cap launches alone
-    field = np.random.default_rng(7).uniform(-1, 1, (512, 512))
+    # a block over the cap launches alone, and a 512 x 512 one is
+    # evaluated in chunks: no temporary outgrows one
+    field = np.random.default_rng(7).uniform(-1, 1, (1024, 512))
     alone = run_machine(result, field.copy(), images=2, steps=1)
-    assert list(alone.workspaces) == [("laplacian", (256, 512, 1))]
+    assert list(alone.workspaces) == [("laplacian", (263166,), (515, 515))]
+    workspace = alone.workspaces["laplacian", (263166,), (515, 515)]
+    assert 1 <= len(workspace.buffers) <= 2
+    assert all(buf.size <= CHUNK_LANES for buf in workspace.buffers)
+    assert [buf.size for buf in workspace.results.values()] == [514 * 514]
     assert np.array_equal(alone.gather(), oracle_step(field, kir))
 
 
