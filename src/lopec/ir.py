@@ -18,7 +18,8 @@ arrays (vector launches, the dense oracle) and single float64 points
 (scrambled-order launches) with bit-identical arithmetic per element.  A
 caller that evaluates the same window repeatedly passes a ``Workspace``:
 the window is then evaluated in chunks of at most ``CHUNK_LANES`` lanes,
-whose temporaries stay in cache and are reused instead of allocated.
+whose temporaries stay in cache and are reused instead of allocated, and
+the stores go in place into the windows the body reads.
 """
 
 from __future__ import annotations
@@ -134,31 +135,30 @@ CHUNK_LANES = 1 << 15
 
 class Workspace:
     """Reusable buffers for ``run_body`` on one window of ``shape`` (every
-    read's), evaluated in chunks along axis 0 of at most ``CHUNK_LANES``.
+    read's), evaluated in chunks along axis 0 of at most ``CHUNK_LANES``,
+    or of ``lag + 1`` rows where a chunk must span more.
 
     Every array-valued result goes into one of ``buffers`` through ``out=``
     and a temporary is freed once the node that consumes it has run, so the
     pool holds the body's live temporaries plus pinned locals and stores
-    and grows only on the first calls.  Each chunk copies its stored values
-    into ``results``, one per stored array: the window and ``pad = (before,
-    after)`` rows around it, for a caller to reshape whole.  Without
-    ``pad``, one chunk's values are returned as evaluated.  Returned arrays
-    stay valid until the next call.
+    and grows only on the first calls.  ``keep`` indexes the window's rows
+    whose values the stores must leave as they were.
     """
 
-    def __init__(self, shape: tuple[int, ...], pad: tuple | None = None):
-        self.shape, self.pad = shape, pad
+    def __init__(self, shape: tuple[int, ...], lag: int = 0,
+                 keep: np.ndarray = np.empty(0, np.intp)):
+        self.shape, self.lag, self.keep = shape, lag, keep
         # the rows of one chunk, spread evenly over as few chunks as fit
         most = max(1, CHUNK_LANES // math.prod(shape[1:]))
-        self.rows = -(-shape[0] // -(-shape[0] // most))
+        self.rows = max(-(-shape[0] // -(-shape[0] // most)), lag + 1)
         self.buffers: list[np.ndarray] = []
-        self.results: dict[str, np.ndarray] = {}
         self._free: list[np.ndarray] = []
         self._temps: set[int] = set()       # ids of unpinned temporaries
 
-    def reset(self) -> None:
-        """Start a call: every buffer is free again."""
-        self._free = self.buffers[::-1]
+    def reset(self, rows: int) -> None:
+        """Start a chunk of ``rows``: every buffer is free again."""
+        self._free = [buf[:rows] for buf in reversed(self.buffers)]
+        self._rows = rows
         self._temps.clear()
 
     def _take(self) -> np.ndarray:
@@ -166,14 +166,21 @@ class Workspace:
             buf = self._free.pop()
         else:
             # column-major like the blocks, so operands stream in order
-            buf = np.empty((self.rows,) + self.shape[1:], order="F")
-            self.buffers.append(buf)
+            self.buffers.append(
+                np.empty((self.rows,) + self.shape[1:], order="F"))
+            buf = self.buffers[-1][:self._rows]
         self._temps.add(id(buf))
         return buf
 
-    def pin(self, value) -> None:
-        """Keep ``value`` (a local or a store) from reuse until ``reset``."""
+    def pin(self, value, store: bool = False):
+        """Keep ``value`` (a local or a store) from reuse until ``reset``.
+        A store that is no fresh temporary, such as a view of a window that
+        a store may overwrite, is copied into one first."""
+        if store and id(value) not in self._temps:
+            value, buf = self._take(), value
+            value[...] = buf
         self._temps.discard(id(value))
+        return value
 
     def binary(self, ufunc, a, b):
         """``ufunc(a, b)``; an array result goes into a consumed operand
@@ -220,40 +227,50 @@ def run_body(ir: KernelIR, read: Callable[[str, tuple[int, ...]], object],
 
     Without ``workspace`` every operation allocates its result, so the
     returned arrays share no memory with those of any other call.  With a
-    ``workspace`` (numpy operands) the window is evaluated chunk by chunk
-    in its buffers; the last chunk may overlap the one before, as a lane
-    evaluated twice gets the same bits.  The arithmetic is the same ufunc
-    sequence either way, so values are bit-identical.
+    ``workspace`` (numpy operands) the window is evaluated in ascending
+    chunks in its buffers.  Once a chunk is evaluated its stores go in
+    place, in body order, into the window of each array's centre read
+    (returned), but for the last ``lag`` rows, which wait for the next
+    chunk, so that no chunk reads a row an earlier one wrote.  The
+    ``keep`` rows are saved before and put back after.  The arithmetic is
+    the same ufunc sequence either way, so values are bit-identical.
     """
-    if workspace is None or (workspace.pad is None
-                             and workspace.rows == workspace.shape[0]):
-        return _evaluate(ir, read, scalars, workspace)
-    (n, *cell), rows = workspace.shape, workspace.rows
-    before, after = workspace.pad or (0, 0)
-    results, window = workspace.results, functools.cache(read)
+    if workspace is None:
+        return _evaluate(ir, read, scalars, None)
+    ws, window, held = workspace, functools.cache(read), {}
+    n, lag = ws.shape[0], ws.lag
 
     def chunk(name: str, offsets: tuple[int, ...]):
-        return window(name, offsets)[lo:lo + rows]
+        return window(name, offsets)[lo:hi]
 
-    for lo in range(0, n, rows):
-        lo = min(lo, n - rows)
-        for name, value in _evaluate(ir, chunk, scalars, workspace).items():
-            if name not in results:
-                results[name] = np.empty([before + n + after, *cell])
-            results[name][before + lo:before + lo + rows] = value
-    return {name: out[before:before + n] for name, out in results.items()}
+    for lo in range(0, n, ws.rows):
+        hi = min(lo + ws.rows, n)
+        ws.reset(hi - lo)
+        pending = _evaluate(ir, chunk, scalars, ws)
+        if not lo:
+            out = {name: window(name, (0,) * ir.param_rank[name])
+                   for name in pending}
+            saved = [(dst, dst[ws.keep]) for dst in out.values()]
+        done = hi if hi == n else hi - lag
+        for name, value in pending.items():
+            if lo:
+                out[name][lo - lag:lo] = held[name]
+            out[name][lo:done] = value[:done - lo]
+            held[name] = value[done - lo:].copy()
+    for dst, values in saved:
+        dst[ws.keep] = values
+    return out
 
 
 def _evaluate(ir: KernelIR, read, scalars, workspace) -> dict[str, object]:
     env: dict[str, object] = dict(scalars or {})
     pending: dict[str, object] = {}
-    if workspace is not None:
-        workspace.reset()
     for st in ir.body:
         value = _ev(st.rhs, env, pending, read, workspace)
+        store = isinstance(st.lhs, ast.OffsetRef)
         if workspace is not None:
-            workspace.pin(value)
-        if isinstance(st.lhs, ast.OffsetRef):
+            value = workspace.pin(value, store)
+        if store:
             pending[st.lhs.array] = value
         else:
             env[st.lhs.name] = value

@@ -42,9 +42,10 @@ centre read after a centre store sees the pending value.  The default
 vector order reads contiguous lanes of the flat stack, from the first
 launched point to the last, laid out with each side's widest halo: a read
 at ``offsets`` is that window moved by the emitted C's linear offset.
-``run_body`` evaluates it in cache-sized chunks in a ``Workspace`` owned
-by the ``Machine`` and fills a result buffer per stored array, of which
-only the launched cells are written back, so no snapshot is needed.
+``run_body`` evaluates it in ascending cache-sized chunks in a
+``Workspace`` owned by the ``Machine`` and stores each in place, holding
+back the lanes a later chunk still reads, so no snapshot is needed; the
+lanes not launched (halos, cells outside the range) are put back after.
 Kernel arithmetic is IEEE, as in the emitted C, with no warning.  A
 ``shuffle_seed`` selects the point-at-a-time order instead, which exists
 to demonstrate order independence: it runs one image at a time and writes
@@ -90,8 +91,8 @@ from .symbols import MAX_HALO_WIDTH, ArrayEntity, ScalarEntity
 
 DEFAULT_EXTENT_1D = 64
 DEFAULT_EXTENT_2D = 32
-# Most cells one stacked launch holds.  Stacking large blocks only grows
-# the launch's result buffers, and with them the peak memory.
+# Most cells one stacked launch holds.  It bounds the launch's window of
+# lanes and the non-launched lanes in it that are saved and put back.
 STACK_CELLS = 1 << 16
 _HOST_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              "==": operator.eq, "/=": operator.ne, "<": operator.lt,
@@ -219,8 +220,8 @@ class Machine:
         # event tuples, and per-pass lists of (kind, images, fields) records
         self._log: list = []
         self._pass: list[tuple] = []    # the records of this pass
-        # vector-launch scratch, one per (kernel name, slab shape)
-        self.workspaces: dict[tuple[str, tuple[int, ...]], Workspace] = {}
+        # vector-launch scratch per (kernel, lanes layout, ranges, images)
+        self.workspaces: dict[tuple, Workspace] = {}
         self._inline_launches = False
         self._variant: set[int] = set()     # ids of variant statements
 
@@ -789,13 +790,20 @@ class Machine:
             lane0 = start + sum(map(operator.mul, offsets, strides))
             return flat[name][lane0:lane0 + n]
 
-        key = (kir.name, (n,), (start, lanes.count() - 1 - last))
-        ws = self.workspaces.get(key) or self.workspaces.setdefault(
-            key, Workspace(*key[1:]))
-        # only the launched cells go back, through each array's own layout
-        for name in run_body(kir, read, scalars, ws):
-            stacks[name][layouts[name].slab(ranges) + (images,)] = ws.results[
-                name].reshape(blocks, order="F")[lanes.slab(ranges)]
+        key = (kir.name, lanes, tuple(ranges), blocks[-1])
+        if key not in self.workspaces:
+            # how far back a read reaches, and the lanes not launched
+            lag = max(sum(map(operator.mul, [b for b, _ in fp.dims], strides))
+                      for fp in kir.footprints.values())
+            keep = np.ones(blocks, bool, order="F")
+            keep[lanes.slab(ranges)] = False
+            self.workspaces[key] = Workspace((n,), lag, np.flatnonzero(
+                keep.reshape(-1, order="F")[start:start + n]))
+        # stores land in the stacks; a scratch copies its launched cells out
+        for name in run_body(kir, read, scalars, self.workspaces[key]):
+            if layouts[name] != lanes:
+                stacks[name][layouts[name].slab(ranges) + (images,)] = flat[
+                    name].reshape(blocks, order="F")[lanes.slab(ranges)]
 
     def _launch_pointwise(self, kir, ranges, buffers, snapshots, layouts,
                           scalars) -> None:

@@ -17,7 +17,8 @@ import pytest
 
 from conftest import CORPUS, compile_file, compile_source
 from lopec.diagnostics import RuntimeFault
-from lopec.ir import CHUNK_LANES, Workspace, lower_kernel, run_body
+from lopec.ir import (CHUNK_LANES, StorageLayout, Workspace, lower_kernel,
+                      run_body)
 from lopec import runtime
 from lopec.runtime import Machine, RunConfig, oracle_step
 
@@ -330,6 +331,19 @@ def test_aliased_arguments_write_back_the_pre_launch_values():
     for got, run in zip(outs[1:], runs[1:]):
         assert np.array_equal(outs[0], got), run
     assert np.array_equal(outs[0], np.roll(field, -2, axis=1))
+
+
+def test_aliased_arguments_keep_the_pre_launch_values_across_chunks():
+    """One 512 x 256 block on one image spans several evaluation chunks,
+    so the pending V, a bare read one column on, reaches into lanes of
+    the next chunk while U and V are written back."""
+    result = compile_source(ALIASED_ARGS)
+    field = np.random.default_rng(18).uniform(-1, 1, (512, 256))
+    assert 514 * 256 > 2 * CHUNK_LANES
+    for devices in (0, 1):
+        got = run_machine(result, field.copy(), images=1, steps=2,
+                          devices=devices).gather()
+        assert got.tobytes() == np.roll(field, -2, axis=1).tobytes(), devices
 
 
 # -- execution order independence -----------------------------------------
@@ -843,28 +857,37 @@ def workspace_buffers(machine):
 
 def test_workspace_stops_growing_after_the_first_launch():
     result = compile_file(CORPUS / "laplacian.lope")
-    rng = np.random.default_rng(8)
+    field = np.random.default_rng(8).uniform(-1, 1, (16, 16))
     machine = Machine(result, RunConfig(images=4, grid_rows=2, steps=6),
-                      rng.uniform(-1, 1, (16, 16)))
+                      field.copy())
     seen = []
     launch = machine._launch_vector
 
     def spy(*args):
         launch(*args)
-        seen.append(([id(buf) for buf in workspace_buffers(machine)],
-                     [id(buf) for ws in machine.workspaces.values()
-                      for buf in ws.results.values()]))
+        seen.append([id(buf) for buf in workspace_buffers(machine)])
 
     machine._launch_vector = spy
     machine.run()
-    # the four images launch stacked: one call per step
+    # the four images launch stacked: one call per step, in one chunk
     assert len(seen) == 6
     assert all(ids == seen[0] for ids in seen)
-    assert 1 <= len(seen[0][0]) <= 2 and len(seen[0][1]) == 1
+    assert 1 <= len(seen[0]) <= 2
+    lanes = StorageLayout((8, 8), (1, 1), (1, 1))
+    assert list(machine.workspaces) == [
+        ("laplacian", lanes, ((1, 8), (1, 8)), 4)]
+    ws = machine.workspaces["laplacian", lanes, ((1, 8), (1, 8)), 4]
     # 10 x 10 padded blocks: the lanes run from interior point (1,1) of
     # image 1, flat offset 11, to (8,8) of image 4, 3*100 + 89 - 11 + 1
-    # lanes, and the result buffer pads them to the four whole blocks
-    assert list(machine.workspaces) == [("laplacian", (378,), (11, 11))]
+    # lanes, of which 4 * 64 are launched; the read footprint reaches one
+    # cell back in each dimension, 1 + 10 lanes
+    assert (ws.shape, ws.rows, ws.lag) == ((378,), 378, 11)
+    assert len(ws.keep) == 378 - 4 * 64
+    kir = lower_kernel(result.kernels["laplacian"])
+    want = field
+    for _ in range(6):
+        want = oracle_step(want, kir)
+    assert np.array_equal(machine.gather(), want)
 
 
 def left_deep_sum_kernel(terms: int) -> str:
@@ -930,10 +953,16 @@ def test_run_body_without_workspace_allocates_fresh_results():
     assert not np.shares_memory(first, padded)
     assert np.array_equal(first, kept) and np.array_equal(first, second)
 
+    # with a workspace the stores go in place, into the centre read's
+    # window of the padded block; its halo stays as it was
+    halo = padded.copy()
     ws = Workspace((8, 8))
     with_ws = run_body(kir, read, None, ws)["u"]
-    assert np.array_equal(with_ws, first)
-    assert any(with_ws is buf for buf in ws.buffers)
+    assert with_ws.base is padded
+    assert np.array_equal(padded[1:9, 1:9], first)
+    padded[1:9, 1:9] = halo[1:9, 1:9]
+    assert np.array_equal(padded, halo)
+    assert not any(np.shares_memory(with_ws, buf) for buf in ws.buffers)
 
 
 # -- stacked launches ------------------------------------------------------
@@ -1360,19 +1389,62 @@ def test_stacked_slabs_are_capped():
     machine.run()
     assert calls == [slice(0, 4), slice(4, 8)]
     # the lanes of four 130 x 130 padded blocks, from flat offset 131
-    assert list(machine.workspaces) == [("laplacian", (67338,), (131, 131))]
+    lanes = StorageLayout((128, 128), (1, 1), (1, 1))
+    key = ("laplacian", lanes, ((1, 128), (1, 128)), 4)
+    assert list(machine.workspaces) == [key]
+    assert machine.workspaces[key].shape == (67338,)
     kir = lower_kernel(result.kernels["laplacian"])
     assert np.array_equal(machine.gather(), oracle_step(field, kir))
     # a block over the cap launches alone, and a 512 x 512 one is
-    # evaluated in chunks: no temporary outgrows one
+    # evaluated in chunks: no buffer outgrows one, and a chunk spans more
+    # lanes than the reads reach back, 1 + 514
     field = np.random.default_rng(7).uniform(-1, 1, (1024, 512))
     alone = run_machine(result, field.copy(), images=2, steps=1)
-    assert list(alone.workspaces) == [("laplacian", (263166,), (515, 515))]
-    workspace = alone.workspaces["laplacian", (263166,), (515, 515)]
+    lanes = StorageLayout((512, 512), (1, 1), (1, 1))
+    key = ("laplacian", lanes, ((1, 512), (1, 512)), 1)
+    assert list(alone.workspaces) == [key]
+    workspace = alone.workspaces[key]
+    assert workspace.shape == (263166,) and workspace.lag == 515
     assert 1 <= len(workspace.buffers) <= 2
-    assert all(buf.size <= CHUNK_LANES for buf in workspace.buffers)
-    assert [buf.size for buf in workspace.results.values()] == [514 * 514]
+    assert all(buf.size == workspace.rows <= CHUNK_LANES
+               for buf in workspace.buffers)
+    assert workspace.rows > workspace.lag
     assert np.array_equal(alone.gather(), oracle_step(field, kir))
+
+
+LONG_COLUMN = """\
+pure concurrent subroutine sweep(U)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  U(0,0) = U(-1,-1) - 0.5*U(0,-1) + 0.25*U(1,1) - U(0,0)
+end subroutine sweep
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call sweep( U(i,j)[device] )
+    end do
+  end do
+end program main
+"""
+
+
+def test_a_column_longer_than_a_chunk_matches_the_oracle():
+    """A 40000 x 3 block: its padded column alone is longer than a chunk,
+    and the kernel reads one column back and one row up, so every chunk's
+    reads reach further back than a chunk holds."""
+    result = compile_source(LONG_COLUMN)
+    kir = lower_kernel(result.kernels["sweep"])
+    field = np.random.default_rng(19).uniform(-1, 1, (40000, 3))
+    machine = run_machine(result, field.copy(), images=1, steps=2)
+    assert machine.arrays["u"].layout.padded()[0] > CHUNK_LANES
+    want = oracle_step(oracle_step(field, kir), kir)
+    assert machine.gather().tobytes() == want.tobytes()
 
 
 DIVERGENT_HALO = """\
