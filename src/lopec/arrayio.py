@@ -3,7 +3,9 @@
 Header line ``M N`` (interior extents; ``M 1`` for one-dimensional fields),
 then N data lines of M space-separated values: line j holds U(1..M, j).
 Values are written with 17 significant digits (``%.17g``) so float64 fields
-round-trip bit-exactly through text.
+round-trip bit-exactly through text.  A value is read as C's ``strtod``
+reads it, so ``1_0``, which Python's ``float`` takes for 10, is rejected;
+so is a header too large to allocate.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def read_array(stream) -> np.ndarray:
                              else stream.decode())
     first = _next_content_line(stream)
     header = first.split() if first is not None else []
-    if len(header) != 2:
+    if len(header) != 2 or "_" in first:
         raise ArrayFormatError("header must be two integers: M N")
     try:
         m, n = int(header[0]), int(header[1])
@@ -42,12 +44,17 @@ def read_array(stream) -> np.ndarray:
         raise ArrayFormatError("header must be two integers: M N") from exc
     if m < 1 or n < 1:
         raise ArrayFormatError(f"extents must be positive, got {m} {n}")
-    data = np.empty((m, n), dtype=np.float64)
+    try:
+        data = np.empty((m, n), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:
+        raise ArrayFormatError(f"extents {m} {n} are too large") from exc
     for j in range(n):
         line = _next_content_line(stream)
         if line is None:
             raise ArrayFormatError(f"expected {n} data line(s), got {j}")
         parts = line.split()
+        if "_" in line:
+            raise ArrayFormatError(f"data line {j + 1} contains '_'")
         if len(parts) != m:
             raise ArrayFormatError(
                 f"data line {j + 1} has {len(parts)} value(s), expected {m}")

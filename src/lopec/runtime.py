@@ -42,10 +42,11 @@ centre read after a centre store sees the pending value.  The default
 vector order reads contiguous lanes of the flat stack, from the first
 launched point to the last, laid out with each side's widest halo: a read
 at ``offsets`` is that window moved by the emitted C's linear offset.
-``run_body`` evaluates it in ascending cache-sized chunks in a
-``Workspace`` owned by the ``Machine`` and stores each in place, holding
-back the lanes a later chunk still reads, so no snapshot is needed; the
-lanes not launched (halos, cells outside the range) are put back after.
+That geometry is computed once, in the ``Machine``'s workspace for the
+kernel, argument layouts, ranges and image count.  ``run_body`` runs the
+kernel's tape over the window in ascending cache-sized chunks and stores
+each in place, holding back the lanes a later chunk still reads, so no
+snapshot is needed; the lanes not launched are put back after.
 Kernel arithmetic is IEEE, as in the emitted C, with no warning.  A
 ``shuffle_seed`` selects the point-at-a-time order instead, which exists
 to demonstrate order independence: it runs one image at a time and writes
@@ -60,8 +61,10 @@ every image, and the interior cell on the owning image that fills it, a
 corner from the diagonal neighbour.  Boundaries wrap cyclically (an image
 can be its own neighbour).  Before the gather, one pull copies the cells
 that some halo reads from the device to the host over all mirrored
-images; after it, one push copies their halos back.  The event log still
-records the pulls, fills and pushes per dimension and side.
+images; after it, one push copies their halos back.  The log still
+records the pulls, fills and pushes per dimension and side.  The pull and
+push indices and the records are planned per array, again whenever its
+mirrors change (``DistributedArray.exchange``).
 
 ``oracle_step`` is the brute-force reference: it applies a kernel densely
 to the gathered global field with periodic indexing via ``numpy.roll`` —
@@ -142,6 +145,7 @@ class DistributedArray:
     def release(self) -> None:
         self.host = self.device = None
         self.mirrored[:] = False
+        self.__dict__.pop("exchange", None)
 
     def add_mirrors(self, idx) -> None:
         """Mirror the blocks of the images at image-axis index ``idx``."""
@@ -149,6 +153,7 @@ class DistributedArray:
             self.device = np.zeros_like(self.host)
         self.device[..., idx] = self.host[..., idx]
         self.mirrored[idx] = True
+        self.__dict__.pop("exchange", None)
 
     def view(self, image: int) -> np.ndarray:
         return self.host[..., image - 1]
@@ -184,6 +189,26 @@ class DistributedArray:
         return (np.arange(grid.p)[:, None] * count + dst_off,
                 (owner - 1) * count + src_off,
                 np.flatnonzero(halo.ravel(order="F")))
+
+    @functools.cached_property
+    def exchange(self) -> tuple:
+        """``(pull, push, log)``: the flat cells one halo exchange pulls
+        from the device stack and pushes back, over the mirrored images,
+        and the records it logs per dimension and side.  ``add_mirrors``
+        and ``release`` drop it."""
+        name, on_device = self.entity.name, np.flatnonzero(self.mirrored)
+        dst, _, cells = self.halo_map
+        pull = (on_device[:, None] * self.layout.count() + cells).ravel()
+        mirrored = (on_device + 1).tolist()
+        images = list(range(1, self.grid.p + 1))
+        log = [("halo_transfer", name)]
+        for d, widths in enumerate(zip(self.layout.lo, self.layout.hi)):
+            sides = [side for side, w in zip(("low", "high"), widths) if w]
+            pulls, pushes = ([(kind, mirrored, (name, d))] * len(sides)
+                             for kind in ("d2h", "h2d"))
+            fills = [("halo_fill", images, (name, d, side)) for side in sides]
+            log += [rec for rec in (pulls, fills, pushes) if rec and rec[0][1]]
+        return pull, dst[on_device].ravel(), log
 
 
 class Machine:
@@ -769,41 +794,30 @@ class Machine:
     def _launch_vector(self, kir, ranges, images, stacks, layouts,
                        scalars) -> None:
         # lanes over the blocks of ``images``, a slice of the image axis
-        sides = zip(*[(lay.lo, lay.hi) for lay in layouts.values()])
-        lanes = StorageLayout(next(iter(layouts.values())).interior,
-                              *[tuple(map(max, zip(*side))) for side in sides])
-        strides = [math.prod(lanes.padded()[:d]) for d in range(lanes.rank)]
-        start, last = [sum(map(operator.mul, lanes.at(corner), strides))
-                       for corner in zip(*ranges)]
-        blocks = lanes.padded() + (images.stop - images.start,)
-        n = math.prod(blocks) - lanes.count() + last - start + 1
-        flat = {}
+        count = images.stop - images.start
+        key = (kir.name, tuple(layouts.values()), tuple(ranges), count)
+        ws = self.workspaces.get(key)
+        if ws is None:
+            ws = self.workspaces[key] = _Lanes(kir, ranges, layouts, count)
+        flat, lanes, n = {}, ws.lanes, ws.shape[0]
         for name, stack in stacks.items():
-            stack, lay = stack[..., images], layouts[name]
-            if lay != lanes:    # copy in; the rest feeds discarded lanes only
-                stack, block = np.zeros(blocks, order="F"), stack
+            stack = stack[..., images]
+            if name in ws.scratch:  # copy in; the rest feeds discarded lanes
+                lay, block = layouts[name], stack
+                stack = np.zeros(ws.blocks, order="F")
                 stack[lanes.slab([(1 - lo, m + hi) for m, lo, hi in zip(
                     lay.interior, lay.lo, lay.hi)])] = block
             flat[name] = stack.reshape(-1, order="F")
 
         def read(name: str, offsets: tuple[int, ...]):
-            lane0 = start + sum(map(operator.mul, offsets, strides))
+            lane0 = ws.first[name, offsets]
             return flat[name][lane0:lane0 + n]
 
-        key = (kir.name, lanes, tuple(ranges), blocks[-1])
-        if key not in self.workspaces:
-            # how far back a read reaches, and the lanes not launched
-            lag = max(sum(map(operator.mul, [b for b, _ in fp.dims], strides))
-                      for fp in kir.footprints.values())
-            keep = np.ones(blocks, bool, order="F")
-            keep[lanes.slab(ranges)] = False
-            self.workspaces[key] = Workspace((n,), lag, np.flatnonzero(
-                keep.reshape(-1, order="F")[start:start + n]))
         # stores land in the stacks; a scratch copies its launched cells out
-        for name in run_body(kir, read, scalars, self.workspaces[key]):
-            if layouts[name] != lanes:
+        for name in run_body(kir, read, scalars, ws):
+            if name in ws.scratch:
                 stacks[name][layouts[name].slab(ranges) + (images,)] = flat[
-                    name].reshape(blocks, order="F")[lanes.slab(ranges)]
+                    name].reshape(ws.blocks, order="F")[lanes.slab(ranges)]
 
     def _launch_pointwise(self, kir, ranges, buffers, snapshots, layouts,
                           scalars) -> None:
@@ -836,35 +850,20 @@ class Machine:
                                f"allocated", pos)
         # allocation is collective: image 1 stands for every image
         self._require_allocated(arr, 1, pos)
-        dst, src, pull = arr.halo_map
+        dst, src, _ = arr.halo_map
+        pull, push, log = arr.exchange
         # column-major stacks, so these flat views share their memory
         host = arr.host.reshape(-1, order="F")
-        on_device = np.flatnonzero(arr.mirrored)
-        if on_device.size:
+        if pull.size:
             # refresh the host copy of every cell a halo reads on a
             # mirrored image
             device = arr.device.reshape(-1, order="F")
-            cells = on_device[:, None] * arr.layout.count() + pull
-            host[cells] = device[cells]
+            host[pull] = device[pull]
         # the sources are interior cells, so no halo reads a filled halo
         host[dst] = host[src]
-        if on_device.size:
-            cells = dst[on_device]
-            device[cells] = host[cells]
-
-        # the event log records the transfers per dimension and side
-        mirrored = (on_device + 1).tolist()
-        self._log.append(("halo_transfer", name))
-        for d, widths in enumerate(zip(arr.layout.lo, arr.layout.hi)):
-            sides = [side for side, w in zip(("low", "high"), widths) if w]
-            if not sides:
-                continue
-            if mirrored:
-                self._log.append([("d2h", mirrored, (name, d))] * len(sides))
-            self._log.append([("halo_fill", self.images, (name, d, side))
-                              for side in sides])
-            if mirrored:
-                self._log.append([("h2d", mirrored, (name, d))] * len(sides))
+        if push.size:
+            device[push] = host[push]
+        self._log.extend(log)
 
     # -- gather / scatter --------------------------------------------------
 
@@ -898,6 +897,34 @@ class _Launch:
     scalars: dict[str, object]
 
 
+class _Lanes(Workspace):
+    """A vector launch's workspace and its lanes: the launched blocks laid
+    out with each side's widest halo (``scratch`` names the arrays laid
+    out otherwise), from the first launched point to the last.  ``first``
+    is each tape read's first lane, the emitted C's linear offset."""
+
+    def __init__(self, kir: KernelIR, ranges, layouts, count: int):
+        sides = zip(*[(lay.lo, lay.hi) for lay in layouts.values()])
+        self.lanes = lanes = StorageLayout(
+            next(iter(layouts.values())).interior,
+            *[tuple(map(max, zip(*side))) for side in sides])
+        self.scratch = {p for p, lay in layouts.items() if lay != lanes}
+        strides = [math.prod(lanes.padded()[:d]) for d in range(lanes.rank)]
+        start, last = [sum(map(operator.mul, lanes.at(corner), strides))
+                       for corner in zip(*ranges)]
+        self.blocks = lanes.padded() + (count,)
+        n = math.prod(self.blocks) - lanes.count() + last - start + 1
+        # how far back a read reaches, and the lanes not launched
+        lag = max(sum(map(operator.mul, [b for b, _ in fp.dims], strides))
+                  for fp in kir.footprints.values())
+        keep = np.ones(self.blocks, bool, order="F")
+        keep[lanes.slab(ranges)] = False
+        super().__init__((n,), lag, np.flatnonzero(
+            keep.reshape(-1, order="F")[start:start + n]))
+        self.first = {(name, off): start + sum(map(operator.mul, off, strides))
+                      for name, off in kir.tape.reads}
+
+
 def _convert(kind, value, pos: SourcePos):
     """``kind(value)`` for a real or integer scalar; a value that type
     cannot hold (a NaN or an infinity as an integer, an overflow) faults."""
@@ -912,14 +939,13 @@ def _convert(kind, value, pos: SourcePos):
 def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     """Slices of the image axis covering ascending ``images``: runs of
     consecutive images, each at most ``limit`` long."""
-    start = prev = images[0]
-    for k in images[1:]:
-        if k == prev + 1 and k - start < limit:
-            prev = k
-            continue
-        yield slice(start - 1, prev)
-        start = prev = k
-    yield slice(start - 1, prev)
+    runs = [images]
+    if images[-1] - images[0] != len(images) - 1:
+        runs = [[k for _, k in run] for _, run in itertools.groupby(
+            enumerate(images), lambda pair: pair[1] - pair[0])]
+    for run in runs:
+        for first in range(run[0] - 1, run[-1], limit):
+            yield slice(first, min(first + limit, run[-1]))
 
 
 def _index(images: list[int]):

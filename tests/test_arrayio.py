@@ -50,6 +50,10 @@ def test_rank1_written_as_single_column():
     "2 2\n1 2\n3\n",              # short line
     "2 2\n1 2\n3 x\n",            # not a number
     "0 2\n",                      # degenerate extent
+    "2 2\n1 2\n3 4_0\n",          # '_' in a value: float() reads 4_0
+    "1_0 1\n1 2 3 4 5 6 7 8 9 10\n",   # int() reads the header 1_0
+    "1000000000 1000000000\n1 2\n",    # too large to allocate
+    "1 100000000000000000000\n1\n",   # past numpy's largest shape
 ])
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ArrayFormatError):

@@ -248,6 +248,18 @@ def test_run_malformed_input_file(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,word", [
+    ("1000000000 1000000000\n1 2\n", "too large"),
+    ("2 1\n1_0 2\n", "'_'"),
+])
+def test_run_unreadable_field_is_a_usage_error(tmp_path, capsys, text, word):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["run", str(CORPUS / "avg3.lope"), "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert word in err and "Traceback" not in err
+
+
 def test_run_compile_errors_exit_1(capsys):
     assert main(["run", str(BAD / "halo_exceeded.lope")]) == 1
     assert "error[E102]" in capsys.readouterr().err

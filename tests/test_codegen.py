@@ -6,6 +6,8 @@ simulator's own launch results on identical snapshots.
 """
 
 import hashlib
+import shutil
+import subprocess
 import random
 
 import numpy as np
@@ -341,3 +343,35 @@ def test_rank1_emitted_c_equals_simulator(widths):
         field = nrng.uniform(-1, 1, (7, 1))
         sim, cint = run_both(text, field, steps=2)
         assert np.array_equal(sim, cint), text
+
+
+# OpenCL C's qualifiers and work-item query, as plain C
+C_PRELUDE = """\
+#define __kernel
+#define __global
+int get_global_id(int dim);
+"""
+
+
+def test_emitted_kernels_compile_as_one_c_unit(tmp_path):
+    """The corpus kernels and every accepted kernel of
+    ``gen.generate(11)``, emitted into one translation unit, pass the host
+    C compiler's syntax and type checks."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler named cc on PATH")
+    kernels = [lower_kernel(compile_file(CORPUS / source).kernels[kname])
+               for source, kname in KERNELS.values()]
+    for g in gen.generate(seed=11):
+        program, _ = parse_source(g.text, "gen.lope")
+        result = check_program(program) if program is not None else None
+        if result is not None and result.ok:
+            kernels += [lower_kernel(info) for info in result.kernels.values()]
+    assert len(kernels) == 163
+    assert len({kir.name for kir in kernels}) == len(kernels)
+    unit = tmp_path / "kernels.c"
+    unit.write_text(C_PRELUDE + "\n".join(
+        emit_kernel_source(kir, EmitConfig()) for kir in kernels))
+    run = subprocess.run([cc, "-std=c99", "-fsyntax-only", str(unit)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -387,3 +387,79 @@ def test_split_launches_still_stack():
     assert calls == [slice(0, 16)] * 3
     assert split.gather().tobytes() == whole.gather().tobytes()
     assert split.counters == whole.counters
+
+
+# Exchange state that changes between exchanges: mirrors added to some
+# images, then to the rest, and an array released and allocated again.
+EXCHANGE_STATE = {
+    "mirrors_added_between_exchanges": blend("""\
+  here = GET_SUBIMAGE(1)
+  if (pcol == 1) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+  if (pcol > 1) then
+    here = this_image()
+  end if
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[here]]
+      call blend( U(i,j)[here], 0.125 )
+    end do
+  end do
+  if (pcol > 1) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call blend( U(i,j)[device], 0.25 )
+    end do
+  end do
+""" + COPY_BACK, decls="  integer :: here\n", mirror=""),
+    "reallocated_between_exchanges": blend("""\
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call blend( U(i,j)[device], 0.125 )
+    end do
+  end do
+""" + COPY_BACK + """\
+  deallocate(U)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  here = GET_SUBIMAGE(1)
+  if (prow == 1) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+  end if
+  if (prow > 1) then
+    here = this_image()
+  end if
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[here]]
+      call blend( U(i,j)[here], 0.25 )
+    end do
+  end do
+""", decls="  integer :: here\n"),
+}
+
+EXCHANGE_DIGESTS = {
+    "mirrors_added_between_exchanges": "e2aba7696c23dff0126da27bd42c3e44afb8963f",
+    "reallocated_between_exchanges": "74f9ff10c0cd9ed0d74e757d718a25dae9549e1e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGE_STATE))
+def test_exchanges_follow_mirrors_and_allocation(name):
+    """The fields, every host and device stack, the events and the
+    counters, pinned by digest over ``CONFIGS``."""
+    h = hashlib.sha1()
+    for config in CONFIGS:
+        machine = machine_for(EXCHANGE_STATE[name], *config)
+        machine.run()
+        h.update(machine.gather().tobytes())
+        for arr in machine.arrays.values():
+            for stack in (arr.host, arr.device):
+                h.update(b"-" if stack is None else stack.tobytes(order="F"))
+        h.update(repr(machine.events).encode())
+        h.update(repr(machine.counters).encode())
+    assert h.hexdigest() == EXCHANGE_DIGESTS[name]

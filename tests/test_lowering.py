@@ -243,3 +243,22 @@ def test_run_body_releases_its_reader_without_the_cycle_collector():
     finally:
         gc.enable()
     assert pending["u"].shape == (8, 8)
+
+
+def test_run_body_with_a_workspace_releases_its_reader_without_the_cycle_collector():
+    ir = lower("  t = U(-1,0) - U(-2,0)\n  U(0,0) = max(U(0,0), 0.25*t)",
+               decls="  real :: t\n")
+    field = np.random.default_rng(4).uniform(-1.0, 1.0, size=(12, 12))
+    want = run_body(ir, slab_reader(field), {})["u"]
+    read = slab_reader(field)
+    alive = weakref.ref(read)
+    gc.collect()
+    gc.disable()
+    try:
+        out = run_body(ir, read, {}, Workspace((8, 8)))
+        del read
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert np.array_equal(out["u"], want)

@@ -872,17 +872,24 @@ def test_workspace_stops_growing_after_the_first_launch():
     # the four images launch stacked: one call per step, in one chunk
     assert len(seen) == 6
     assert all(ids == seen[0] for ids in seen)
-    assert 1 <= len(seen[0]) <= 2
-    lanes = StorageLayout((8, 8), (1, 1), (1, 1))
+    # the tape names the buffers: one for the sum, one for 3*U(0,0)
+    assert len(seen[0]) == len(machine.kernels["laplacian"].tape.buffers) == 2
+    # keyed by kernel, argument layouts, ranges and image count
+    layout = StorageLayout((8, 8), (1, 1), (1, 1))
     assert list(machine.workspaces) == [
-        ("laplacian", lanes, ((1, 8), (1, 8)), 4)]
-    ws = machine.workspaces["laplacian", lanes, ((1, 8), (1, 8)), 4]
+        ("laplacian", (layout,), ((1, 8), (1, 8)), 4)]
+    ws = machine.workspaces["laplacian", (layout,), ((1, 8), (1, 8)), 4]
     # 10 x 10 padded blocks: the lanes run from interior point (1,1) of
     # image 1, flat offset 11, to (8,8) of image 4, 3*100 + 89 - 11 + 1
     # lanes, of which 4 * 64 are launched; the read footprint reaches one
     # cell back in each dimension, 1 + 10 lanes
+    assert (ws.lanes, ws.scratch, ws.blocks) == (layout, set(), (10, 10, 4))
     assert (ws.shape, ws.rows, ws.lag) == ((378,), 378, 11)
     assert len(ws.keep) == 378 - 4 * 64
+    # each read starts at the emitted C's linear offset: o_1 + 10 o_2
+    assert ws.first == {("u", (0, 1)): 21, ("u", (-1, 0)): 10,
+                        ("u", (0, 0)): 11, ("u", (1, 0)): 12,
+                        ("u", (0, -1)): 1}
     kir = lower_kernel(result.kernels["laplacian"])
     want = field
     for _ in range(6):
@@ -930,7 +937,10 @@ def test_long_sum_holds_a_constant_number_of_buffers():
     rng = np.random.default_rng(12)
     field = rng.uniform(-1, 1, (12, 10))
     machine = run_machine(result, field.copy(), images=2, steps=3)
-    assert len(workspace_buffers(machine)) <= 3
+    # the tape's buffers, each allocated once in the one workspace
+    assert len(machine.workspaces) == 1
+    assert len(workspace_buffers(machine)) == \
+        len(machine.kernels["big"].tape.buffers) <= 3
     ref = field
     for _ in range(3):
         ref = oracle_step(ref, kir)
@@ -1389,10 +1399,11 @@ def test_stacked_slabs_are_capped():
     machine.run()
     assert calls == [slice(0, 4), slice(4, 8)]
     # the lanes of four 130 x 130 padded blocks, from flat offset 131
-    lanes = StorageLayout((128, 128), (1, 1), (1, 1))
-    key = ("laplacian", lanes, ((1, 128), (1, 128)), 4)
+    layout = StorageLayout((128, 128), (1, 1), (1, 1))
+    key = ("laplacian", (layout,), ((1, 128), (1, 128)), 4)
     assert list(machine.workspaces) == [key]
     assert machine.workspaces[key].shape == (67338,)
+    assert machine.workspaces[key].blocks == (130, 130, 4)
     kir = lower_kernel(result.kernels["laplacian"])
     assert np.array_equal(machine.gather(), oracle_step(field, kir))
     # a block over the cap launches alone, and a 512 x 512 one is
@@ -1400,8 +1411,8 @@ def test_stacked_slabs_are_capped():
     # lanes than the reads reach back, 1 + 514
     field = np.random.default_rng(7).uniform(-1, 1, (1024, 512))
     alone = run_machine(result, field.copy(), images=2, steps=1)
-    lanes = StorageLayout((512, 512), (1, 1), (1, 1))
-    key = ("laplacian", lanes, ((1, 512), (1, 512)), 1)
+    layout = StorageLayout((512, 512), (1, 1), (1, 1))
+    key = ("laplacian", (layout,), ((1, 512), (1, 512)), 1)
     assert list(alone.workspaces) == [key]
     workspace = alone.workspaces[key]
     assert workspace.shape == (263166,) and workspace.lag == 515
@@ -1444,6 +1455,53 @@ def test_a_column_longer_than_a_chunk_matches_the_oracle():
     machine = run_machine(result, field.copy(), images=1, steps=2)
     assert machine.arrays["u"].layout.padded()[0] > CHUNK_LANES
     want = oracle_step(oracle_step(field, kir), kir)
+    assert machine.gather().tobytes() == want.tobytes()
+
+
+EVERY_STORE = """\
+pure concurrent subroutine mix(U, c)
+  real, dimension(:,:), HALO(1:*:1, 1:*:1) :: U
+  real :: c
+  real :: t
+  real :: s
+  s = 2*c
+  t = U(-1,0) - 0.5*U(0,-1) + 0.25*U(0,1)
+  U(0,0) = U(1,1)
+  t = t + U(0,0)
+  U(0,0) = c
+  t = t*U(0,0) - s
+  U(0,0) = t
+  U(0,0) = U(0,0)
+end subroutine mix
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,1:*:1) :: U
+  integer :: device
+  integer :: it
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 0:N+1)[MP,*])
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call mix( U(i,j)[device], 0.375 )
+    end do
+  end do
+end program main
+"""
+
+
+def test_every_kind_of_store_over_several_chunks_matches_the_oracle():
+    """The stores are a bare read, a scalar, a local and a pending value,
+    next to a scalar-only local, on a block of three chunks whose reads
+    reach a column back."""
+    result = compile_source(EVERY_STORE)
+    kir = lower_kernel(result.kernels["mix"])
+    field = np.random.default_rng(23).uniform(-1, 1, (256, 256))
+    machine = run_machine(result, field.copy(), images=1, steps=2)
+    assert machine.arrays["u"].layout.count() > 2 * CHUNK_LANES
+    want = field
+    for _ in range(2):
+        want = oracle_step(want, kir, {"c": 0.375})
     assert machine.gather().tobytes() == want.tobytes()
 
 
