@@ -68,7 +68,10 @@ def read_array(stream) -> np.ndarray:
 
 def read_array_file(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
-        return read_array(f)
+        try:
+            return read_array(f)
+        except UnicodeDecodeError as exc:
+            raise ArrayFormatError("not UTF-8 text") from exc
 
 
 def write_array(stream, field: np.ndarray) -> None:

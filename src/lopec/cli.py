@@ -19,15 +19,13 @@ import os
 import sys
 from typing import Optional
 
-from .arrayio import ArrayFormatError, read_array_file, write_array, write_array_file
 from .astdump import dump_ast
 from .checks import check_program
 from .codegen import EmitConfig, emit_kernel_source
 from .diagnostics import RuntimeFault, sort_diagnostics
-from .ir import lower_kernel
+from .lowering import lower_kernel
 from .parser import parse_source
 from .plan import desugar, format_plan
-from .runtime import Machine, RunConfig
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -41,6 +39,9 @@ def _read_source(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc.strerror}"))
+    except UnicodeDecodeError as exc:
+        raise SystemExit(_usage_error(
+            f"cannot read {path}: not UTF-8 text at byte {exc.start}"))
 
 
 def _usage_error(message: str) -> int:
@@ -67,12 +68,20 @@ def _compile(path: str):
     return result, EXIT_OK
 
 
-def _write_text(text: str, output: Optional[str]) -> None:
+def _write(output: Optional[str], write) -> None:
+    """``write(stream)`` into standard output, or into the file ``output``."""
     if output is None:
-        sys.stdout.write(text)
-    else:
+        write(sys.stdout)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write {output}: {exc.strerror}"))
+
+
+def _write_text(text: str, output: Optional[str]) -> None:
+    _write(output, lambda fh: fh.write(text))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -110,6 +119,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # numpy and the simulator load only here: check, ast and emit skip them
+    from .arrayio import ArrayFormatError, read_array_file, write_array
+    from .runtime import Machine, RunConfig
     result, code = _compile(args.file)
     if result is None:
         return code
@@ -135,10 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except RuntimeFault as fault:
         print(fault.render(), file=sys.stderr)
         return EXIT_FAULT
-    if args.output is None:
-        write_array(sys.stdout, field)
-    else:
-        write_array_file(args.output, field)
+    _write(args.output, lambda fh: write_array(fh, field))
     return EXIT_OK
 
 

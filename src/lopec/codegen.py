@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass, field
 
 from . import ast
-from .ir import KernelIR
+from .lowering import KernelIR
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lopec.arrayio import (ArrayFormatError, format_array, read_array,
-                           write_array)
+                           read_array_file, write_array)
 
 
 def test_round_trip_is_bitwise():
@@ -58,6 +58,13 @@ def test_rank1_written_as_single_column():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ArrayFormatError):
         read_array(text)
+
+
+def test_undecodable_file_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 2\n1 2\n3 \xff\n")
+    with pytest.raises(ArrayFormatError, match="not UTF-8 text"):
+        read_array_file(str(path))
 
 
 def test_full_precision_survives():

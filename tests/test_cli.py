@@ -17,6 +17,8 @@ from test_runtime import DIVERGENT_HALO, MIXED_HALOS, NOT_AN_INTEGER
 from test_sema import HUGE_DIVISOR, INTEGER_LAPLACIAN, KERNEL_SHAPES
 
 LAP = str(CORPUS / "laplacian.lope")
+COMMANDS = [["check"], ["run"], ["emit"], ["emit", "--target", "plan"],
+            ["ast"]]
 
 
 def test_check_ok(capsys):
@@ -260,6 +262,42 @@ def test_run_unreadable_field_is_a_usage_error(tmp_path, capsys, text, word):
     assert word in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["ast"], ["emit"],
+                                     ["emit", "--target", "plan"], ["run"]])
+@pytest.mark.parametrize("flag", ["-o", "--output"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, flag):
+    for target in (tmp_path, tmp_path / "missing" / "x"):
+        assert main([command[0], str(CORPUS / "avg3.lope"), *command[1:],
+                     flag, str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith(f"lopec: error: cannot write {target}: ")
+        assert out.err.count("\n") == 1 and out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("data,offset", [(b"\xff\xfe bad", 0),
+                                         (b"! caf\xc3\xa9\n! \xe9\n", 10)])
+def test_undecodable_source_is_a_usage_error(tmp_path, capsys, command,
+                                             data, offset):
+    src = tmp_path / "bad.lope"
+    src.write_bytes(data)
+    assert main([command[0], str(src), *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.err == (f"lopec: error: cannot read {src}: not UTF-8 text "
+                       f"at byte {offset}\n")
+    assert out.out == ""
+
+
+def test_run_undecodable_field_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 1\n1 \xff\n")
+    assert main(["run", str(CORPUS / "avg3.lope"), "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"lopec: error: {bad}: not UTF-8 text\n"
+    assert "Traceback" not in err
+
+
 def test_run_compile_errors_exit_1(capsys):
     assert main(["run", str(BAD / "halo_exceeded.lope")]) == 1
     assert "error[E102]" in capsys.readouterr().err
@@ -275,24 +313,69 @@ def test_integer_launched_array_is_a_diagnostic(tmp_path, capsys, command):
     assert "error[E104]" in out.err
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this lopec."""
+    src_dir = pathlib.Path(lopec.__file__).parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     field = tmp_path / "in.txt"
     write_array_file(str(field),
                      np.random.default_rng(3).standard_normal((256, 256)))
     assert field.stat().st_size > 1 << 20
-    src_dir = pathlib.Path(lopec.__file__).parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "lopec", "run", LAP, "--images", "2",
          "--input", str(field)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
     assert proc.stdout.readline() == b"256 256\n"
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+SIMULATOR = ("numpy", "lopec.runtime", "lopec.arrayio", "lopec.ir")
+LOADED = f"print(*[m for m in {SIMULATOR!r} if m in sys.modules])"
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["ast", "-o"], ["emit", "--target", "kernel-c", "-o"],
+    ["emit", "--target", "plan", "-o"], ["run", "--images", "2", "-o"]])
+def test_only_run_loads_numpy_and_the_simulator(tmp_path, command):
+    """The front end starts without numpy, the kernel interpreter, the
+    runtime or field I/O; ``run`` loads them and writes what it writes in
+    process."""
+    argv = [command[0], str(CORPUS / "upwind.lope"), *command[1:]]
+    if command[-1] == "-o":
+        argv.append(str(tmp_path / "fresh.txt"))
+    last = _fresh("import sys\nfrom lopec.cli import main\n"
+                  f"print(main(sys.argv[1:]))\n{LOADED}", *argv)
+    assert last == (" ".join(SIMULATOR) if command[0] == "run" else "")
+    if command[-1] == "-o":
+        assert main(argv[:-1] + [str(tmp_path / "here.txt")]) == 0
+        assert ((tmp_path / "fresh.txt").read_bytes()
+                == (tmp_path / "here.txt").read_bytes())
+
+
+def test_the_package_loads_the_simulator_on_first_use():
+    assert _fresh(f"import sys, lopec\n{LOADED}") == ""
+    last = _fresh("import sys\nfrom lopec import Machine, RunConfig, "
+                  "oracle_step, __all__\nimport lopec\n"
+                  "assert set(__all__) <= set(dir(lopec))\n"
+                  "print(Machine.__module__, RunConfig.__module__, "
+                  "oracle_step.__module__, 'numpy' in sys.modules)")
+    assert last == "lopec.runtime lopec.runtime lopec.runtime True"
 
 
 ABS_OF_NOTHING = (CORPUS / "laplacian.lope").read_text().replace(
@@ -390,10 +473,6 @@ def deep_program(context: str, expr: str) -> str:
     return text.replace("  integer :: it\n", "  integer :: it\n  real :: q\n",
                         1).replace("  allocate(", f"  q = {expr}\n  allocate(",
                                    1)
-
-
-COMMANDS = [["check"], ["run"], ["emit"], ["emit", "--target", "plan"],
-            ["ast"]]
 
 
 @pytest.mark.parametrize("context", ["kernel", "host"])

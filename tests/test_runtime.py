@@ -1351,7 +1351,31 @@ def test_benchmark_wrappers_still_see_the_runtime(monkeypatch):
     module global ``lopec.runtime.run_body``, and reads the primary
     array's layout through ``lo``, ``hi``, ``interior``, ``rank``,
     ``padded()`` and ``count()``.  A launch that bypassed the global would
-    silently zero the benchmark's count."""
+    silently zero the benchmark's count.  Every name its tracer wraps must
+    be a plain attribute of its object (``lopec.ir`` re-exports
+    ``lower_kernel`` rather than resolving it lazily), and must be put back
+    afterwards."""
+    import run as perfbench     # perfbench/run.py, on the path via conftest
+    from spans import Tracer
+
+    lo = perfbench.Lopec()
+    assert lo.ir.run_body is runtime.run_body
+    assert lo.ir.lower_kernel is runtime.lower_kernel
+    assert not hasattr(lo.ir, "__getattr__")
+    targets = lo.trace_targets()
+    names = {(obj, attr) for obj, attr, _ in targets}
+    assert {(lo.ir, "run_body"), (lo.ir, "lower_kernel")} <= names
+    before = [(obj, attr, vars(obj)[attr]) for obj, attr, _ in targets]
+    tracer = Tracer()
+    with tracer.patched(targets):
+        res = lo.compile((CORPUS / "laplacian.lope").read_text(), "lap")
+        lo.runtime.Machine(res.check, lo.runtime.RunConfig(images=2),
+                           np.ones((8, 8))).run()
+    assert all(vars(obj)[attr] is fn for obj, attr, fn in before)
+    _, spans = tracer.summary()
+    assert spans["ir.run_body"] == 1 and spans["runtime.run"] == 1
+    assert spans["ir.lower"] == 2       # the compile's and the Machine's
+
     calls = []
     unwrapped = runtime.run_body
 
