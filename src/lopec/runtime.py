@@ -38,16 +38,17 @@ split along the image axis, and an image whose range alone exceeds the
 cap launches by itself.
 
 Launches are double-buffered: every read sees the pre-launch values, and a
-centre read after a centre store sees the pending value.  The default
-vector order reads contiguous lanes of the flat stack, from the first
-launched point to the last, laid out with each side's widest halo: a read
-at ``offsets`` is that window moved by the emitted C's linear offset.
-That geometry is computed once, in the ``Machine``'s workspace for the
-kernel, argument layouts, ranges and image count.  ``run_body`` runs the
-kernel's tape over the window in ascending cache-sized chunks and stores
-each in place, holding back the lanes a later chunk still reads, so no
-snapshot is needed; the lanes not launched are put back after.
-Kernel arithmetic is IEEE, as in the emitted C, with no warning.  A
+centre read after a centre store sees the pending value.  Arrays launched
+together, even through a chain of launches, share one storage layout: each
+stack is padded with the group's widest halo per side
+(``DistributedArray.storage``).  The default vector order reads contiguous
+lanes of the flat stacks, from the first launched point to the last: a
+read at ``offsets`` is that window moved by the emitted C's linear offset,
+computed once per kernel, layout, ranges and image count.  ``run_body``
+runs the kernel's tape over the window in ascending cache-sized chunks and
+stores each in place, holding back the lanes a later chunk still reads, so
+no snapshot is needed; the lanes not launched are put back after.  Kernel
+arithmetic is IEEE, as in the emitted C, with no warning.  A
 ``shuffle_seed`` selects the point-at-a-time order instead, which exists
 to demonstrate order independence: it runs one image at a time and writes
 back point by point in a seeded random order, so it reads from a snapshot
@@ -121,25 +122,30 @@ class RunConfig:
 class DistributedArray:
     """Every image's block of one array, stacked along a trailing image axis.
 
-    ``host`` is column-major with shape ``layout.padded() + (P,)``, so image
-    k's block ``host[..., k-1]`` is contiguous.  ``device`` holds the
-    device mirrors in a stack of the same shape; it is allocated when the
-    first image creates a mirror, and ``mirrored[k-1]`` tells whether image
-    k has one.  Allocation and deallocation are collective, so all images
-    hold a block or none does: ``host`` is None while unallocated.
+    ``host`` is column-major with shape ``storage.padded() + (P,)``: the
+    declared ``layout``, unless per-side ``padding`` widens it with cells
+    that stay zero.  Image k's block ``host[..., k-1]`` is contiguous, and
+    ``box`` indexes the declared block in it.  ``device`` holds the device
+    mirrors in a stack of the same shape; it is allocated when the first
+    image creates a mirror, and ``mirrored[k-1]`` tells whether image k has
+    one.  Allocation and deallocation are collective, so all images hold a
+    block or none does: ``host`` is None while unallocated.
     """
 
     def __init__(self, entity: ArrayEntity, layout: StorageLayout,
-                 grid: ProcessGrid):
-        self.entity = entity
-        self.layout = layout
-        self.grid = grid
+                 grid: ProcessGrid, padding: Optional[tuple] = None):
+        self.entity, self.grid = entity, grid
+        self.layout = self.storage = layout
+        if padding not in (None, (layout.lo, layout.hi)):
+            self.storage = StorageLayout(layout.interior, *padding)
+        self.box = self.storage.slab([(1 - lo, m + hi) for m, lo, hi in zip(
+            layout.interior, layout.lo, layout.hi)])
         self.host: Optional[np.ndarray] = None
         self.device: Optional[np.ndarray] = None
         self.mirrored = np.zeros(grid.p, dtype=bool)
 
     def allocate(self) -> None:
-        self.host = np.zeros(self.layout.padded() + (self.grid.p,),
+        self.host = np.zeros(self.storage.padded() + (self.grid.p,),
                              order="F")
 
     def release(self) -> None:
@@ -156,7 +162,7 @@ class DistributedArray:
         self.__dict__.pop("exchange", None)
 
     def view(self, image: int) -> np.ndarray:
-        return self.host[..., image - 1]
+        return self.host[self.box + (image - 1,)]
 
     @functools.cached_property
     def halo_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,9 +172,10 @@ class DistributedArray:
         image that owns it, so a corner comes from the diagonal neighbour;
         ``pull`` the block offsets of the interior cells that some halo
         reads.  Allocation keeps the layout, so the map is built once."""
-        layout, grid = self.layout, self.grid
+        layout, grid = self.storage, self.grid
         padded, count = layout.padded(), layout.count()
-        halo = np.ones(padded, dtype=bool, order="F")
+        halo = np.zeros(padded, dtype=bool, order="F")
+        halo[self.box] = True
         halo[layout.slab()] = False
         dst_off = np.flatnonzero(halo.ravel(order="F"))
         cells = np.unravel_index(dst_off, padded, order="F")
@@ -198,7 +205,7 @@ class DistributedArray:
         and ``release`` drop it."""
         name, on_device = self.entity.name, np.flatnonzero(self.mirrored)
         dst, _, cells = self.halo_map
-        pull = (on_device[:, None] * self.layout.count() + cells).ravel()
+        pull = (on_device[:, None] * self.storage.count() + cells).ravel()
         mirrored = (on_device + 1).tolist()
         images = list(range(1, self.grid.p + 1))
         log = [("halo_transfer", name)]
@@ -236,17 +243,16 @@ class Machine:
         self.env: dict[int, dict] = {}
         for k in self.images:
             pcol, prow = self.grid.coords(k)
-            self.env[k] = {
-                "p": p, "mp": self.grid.mp, "np": self.grid.np,
-                "pcol": pcol, "prow": prow,
-                "m": self.m, "n": self.n, "nsteps": config.steps,
-            }
+            self.env[k] = {"p": p, "mp": self.grid.mp, "np": self.grid.np,
+                           "pcol": pcol, "prow": prow, "m": self.m,
+                           "n": self.n, "nsteps": config.steps}
         self.arrays: dict[str, DistributedArray] = {}
         # event tuples, and per-pass lists of (kind, images, fields) records
         self._log: list = []
         self._pass: list[tuple] = []    # the records of this pass
-        # vector-launch scratch per (kernel, lanes layout, ranges, images)
+        # vector-launch lanes per (kernel, storage layout, ranges, images)
         self.workspaces: dict[tuple, Workspace] = {}
+        self._padding = _launch_padding(self.program.body, check.symtab)
         self._inline_launches = False
         self._variant: set[int] = set()     # ids of variant statements
 
@@ -577,7 +583,8 @@ class Machine:
                                    f"different shapes", a.pos)
             layout = block
         if arr is None:
-            arr = DistributedArray(ent, layout, self.grid)
+            arr = DistributedArray(ent, layout, self.grid,
+                                   self._padding.get(a.entity))
             self.arrays[a.entity] = arr
         arr.allocate()
         if (self.primary is not None and ent.name == self.primary.name
@@ -637,7 +644,7 @@ class Machine:
 
         Images are numbered column-major over the grid, so splitting the
         image axis puts image k at ``[..., pcol-1, prow-1]``."""
-        blocks = arr.host[arr.layout.slab() + (slice(None),)]
+        blocks = arr.host[arr.storage.slab() + (slice(None),)]
         if self.rank == 1:
             blocks = blocks[:, None, :]
         return blocks.reshape(self.m, self.n, self.grid.np, self.grid.mp)
@@ -743,19 +750,19 @@ class Machine:
                 kind = (np.float64 if kir.param_types[p] == "real"
                         else np.int64)
                 scalars[p] = _convert(kind, self.eval(arg, k), arg.pos)
-        # the ranges index the first array's interior
-        interior = next(iter(arrays.values())).layout.interior
+        # the arrays share one storage layout; the ranges index its interior
+        layout = next(iter(arrays.values())).storage
         for d, (lo, hi) in enumerate(ranges):
-            if lo < 1 or hi > interior[d]:
+            if lo < 1 or hi > layout.interior[d]:
                 raise RuntimeFault(
                     ALLOC_SHAPE,
                     f"launch range {lo}:{hi} lies outside the interior "
-                    f"1:{interior[d]} in dim {d + 1}", a.pos)
+                    f"1:{layout.interior[d]} in dim {d + 1}", a.pos)
         # The statement fixes the kernel, its arrays and the scalar types.
         # Scalars compare by their bits: 0.0 and -0.0 launch apart.
         key = (id(a), on_device, tuple(ranges),
                tuple(v.tobytes() for v in scalars.values()))
-        return _Launch(key, kir, ranges, arrays, on_device, scalars)
+        return _Launch(key, kir, ranges, arrays, layout, on_device, scalars)
 
     def _launch_array(self, name: str, k: int, on_device: bool,
                       pos: SourcePos) -> DistributedArray:
@@ -776,53 +783,40 @@ class Machine:
         for first, group in groups.values():
             stacks = {p: arr.device if first.on_device else arr.host
                       for p, arr in first.arrays.items()}
-            layouts = {p: arr.layout for p, arr in first.arrays.items()}
             if self.config.shuffle_seed is not None:
                 for k in group:
-                    buffers = {p: stack[..., k - 1]
-                               for p, stack in stacks.items()}
-                    snapshots = {p: buf.copy() for p, buf in buffers.items()}
-                    self._launch_pointwise(first.kernel, first.ranges,
-                                           buffers, snapshots, layouts,
-                                           first.scalars)
+                    self._launch_pointwise(first.kernel, first.ranges, {
+                        p: stack[..., k - 1] for p, stack in stacks.items()},
+                        first.layout, first.scalars)
                 continue
             cells = math.prod(hi - lo + 1 for lo, hi in first.ranges)
             for images in _image_runs(group, max(1, STACK_CELLS // cells)):
                 self._launch_vector(first.kernel, first.ranges, images,
-                                    stacks, layouts, first.scalars)
+                                    stacks, first.layout, first.scalars)
 
-    def _launch_vector(self, kir, ranges, images, stacks, layouts,
+    def _launch_vector(self, kir, ranges, images, stacks, layout,
                        scalars) -> None:
         # lanes over the blocks of ``images``, a slice of the image axis
         count = images.stop - images.start
-        key = (kir.name, tuple(layouts.values()), tuple(ranges), count)
+        key = (kir.name, layout, tuple(ranges), count)
         ws = self.workspaces.get(key)
         if ws is None:
-            ws = self.workspaces[key] = _Lanes(kir, ranges, layouts, count)
-        flat, lanes, n = {}, ws.lanes, ws.shape[0]
-        for name, stack in stacks.items():
-            stack = stack[..., images]
-            if name in ws.scratch:  # copy in; the rest feeds discarded lanes
-                lay, block = layouts[name], stack
-                stack = np.zeros(ws.blocks, order="F")
-                stack[lanes.slab([(1 - lo, m + hi) for m, lo, hi in zip(
-                    lay.interior, lay.lo, lay.hi)])] = block
-            flat[name] = stack.reshape(-1, order="F")
+            ws = self.workspaces[key] = _Lanes(kir, ranges, layout, count)
+        # column-major stacks, so these flat views share their memory
+        flat, n = {name: stack[..., images].reshape(-1, order="F")
+                   for name, stack in stacks.items()}, ws.shape[0]
 
         def read(name: str, offsets: tuple[int, ...]):
             lane0 = ws.first[name, offsets]
             return flat[name][lane0:lane0 + n]
 
-        # stores land in the stacks; a scratch copies its launched cells out
-        for name in run_body(kir, read, scalars, ws):
-            if name in ws.scratch:
-                stacks[name][layouts[name].slab(ranges) + (images,)] = flat[
-                    name].reshape(ws.blocks, order="F")[lanes.slab(ranges)]
+        run_body(kir, read, scalars, ws)    # the stores land in the stacks
 
-    def _launch_pointwise(self, kir, ranges, buffers, snapshots, layouts,
+    def _launch_pointwise(self, kir, ranges, buffers, layout,
                           scalars) -> None:
-        # 0-based launch points index views of the launch ranges, one per
-        # array and read offset
+        # 0-based launch points index views of the launch ranges in a
+        # snapshot, one per array and read offset
+        snapshots = {p: buf.copy() for p, buf in buffers.items()}
         points = list(itertools.product(
             *[range(hi - lo + 1) for lo, hi in ranges]))
         random.Random(self.config.shuffle_seed).shuffle(points)
@@ -831,10 +825,10 @@ class Machine:
         def read(name: str, offsets: tuple[int, ...]):
             if (name, offsets) not in views:
                 views[name, offsets] = \
-                    snapshots[name][layouts[name].slab(ranges, offsets)]
+                    snapshots[name][layout.slab(ranges, offsets)]
             return views[name, offsets][pt]
 
-        out = {name: buffers[name][layouts[name].slab(ranges)]
+        out = {name: buffers[name][layout.slab(ranges)]
                for name in kir.stored_arrays}
         for pt in points:
             for name, value in run_body(kir, read, scalars).items():
@@ -893,22 +887,18 @@ class _Launch:
     kernel: KernelIR
     ranges: list[tuple[int, int]]
     arrays: dict[str, DistributedArray]
+    layout: StorageLayout       # every array's storage
     on_device: bool
     scalars: dict[str, object]
 
 
 class _Lanes(Workspace):
-    """A vector launch's workspace and its lanes: the launched blocks laid
-    out with each side's widest halo (``scratch`` names the arrays laid
-    out otherwise), from the first launched point to the last.  ``first``
-    is each tape read's first lane, the emitted C's linear offset."""
+    """A vector launch's workspace and its lanes: the launched blocks in
+    the arguments' storage layout ``lanes``, from the first launched point
+    to the last.  ``first`` is each read's first lane, the C's offset."""
 
-    def __init__(self, kir: KernelIR, ranges, layouts, count: int):
-        sides = zip(*[(lay.lo, lay.hi) for lay in layouts.values()])
-        self.lanes = lanes = StorageLayout(
-            next(iter(layouts.values())).interior,
-            *[tuple(map(max, zip(*side))) for side in sides])
-        self.scratch = {p for p, lay in layouts.items() if lay != lanes}
+    def __init__(self, kir: KernelIR, ranges, lanes, count: int):
+        self.lanes = lanes
         strides = [math.prod(lanes.padded()[:d]) for d in range(lanes.rank)]
         start, last = [sum(map(operator.mul, lanes.at(corner), strides))
                        for corner in zip(*ranges)]
@@ -939,11 +929,9 @@ def _convert(kind, value, pos: SourcePos):
 def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     """Slices of the image axis covering ascending ``images``: runs of
     consecutive images, each at most ``limit`` long."""
-    runs = [images]
-    if images[-1] - images[0] != len(images) - 1:
-        runs = [[k for _, k in run] for _, run in itertools.groupby(
-            enumerate(images), lambda pair: pair[1] - pair[0])]
-    for run in runs:
+    for _, run in itertools.groupby(enumerate(images),
+                                    lambda pair: pair[1] - pair[0]):
+        run = [k for _, k in run]
         for first in range(run[0] - 1, run[-1], limit):
             yield slice(first, min(first + limit, run[-1]))
 
@@ -953,6 +941,21 @@ def _index(images: list[int]):
     if images and images[-1] - images[0] == len(images) - 1:
         return slice(images[0] - 1, images[-1])
     return np.asarray(images, dtype=int) - 1
+
+
+def _launch_padding(body: list[ast.Stmt], symtab) -> dict[str, tuple]:
+    """Per launched array, the widest halo per side, ``(lo, hi)``, of the
+    arrays launched with it, directly or through a chain of launches."""
+    groups: dict[str, set[str]] = {}
+    for s in ast.walk(body):
+        if isinstance(s, ast.DoConcurrent):
+            group = set().union(*[groups.get(a.array, {a.array}) for a in
+                                  s.call.args if isinstance(a, ast.ElementArg)])
+            groups.update(dict.fromkeys(group, group))
+    return {name: tuple(zip(*[(max(h.lo for h in dim), max(h.hi for h in dim))
+                              for dim in zip(*[symtab.lookup(n).halo.dims
+                                               for n in group])]))
+            for name, group in groups.items()}
 
 
 def _reads_remote(node) -> bool:
@@ -980,13 +983,10 @@ def oracle_step(field: np.ndarray, kir: KernelIR,
     rank = work.ndim
 
     def read(name: str, offsets: tuple[int, ...]):
-        if all(o == 0 for o in offsets):
-            return work.copy()
         return np.roll(work, shift=tuple(-o for o in offsets),
                        axis=tuple(range(rank)))
 
     prepared = {k: (np.float64(v) if not isinstance(v, np.generic) else v)
                 for k, v in (scalars or {}).items()}
     pending = run_body(kir, read, prepared)
-    target = kir.stored_arrays[0]
-    return np.asarray(pending[target], dtype=np.float64)
+    return np.asarray(pending[kir.stored_arrays[0]], dtype=np.float64)

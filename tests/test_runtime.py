@@ -874,16 +874,17 @@ def test_workspace_stops_growing_after_the_first_launch():
     assert all(ids == seen[0] for ids in seen)
     # the tape names the buffers: one for the sum, one for 3*U(0,0)
     assert len(seen[0]) == len(machine.kernels["laplacian"].tape.buffers) == 2
-    # keyed by kernel, argument layouts, ranges and image count
+    # keyed by kernel, the arguments' storage layout, ranges and image count
     layout = StorageLayout((8, 8), (1, 1), (1, 1))
     assert list(machine.workspaces) == [
-        ("laplacian", (layout,), ((1, 8), (1, 8)), 4)]
-    ws = machine.workspaces["laplacian", (layout,), ((1, 8), (1, 8)), 4]
+        ("laplacian", layout, ((1, 8), (1, 8)), 4)]
+    ws = machine.workspaces["laplacian", layout, ((1, 8), (1, 8)), 4]
     # 10 x 10 padded blocks: the lanes run from interior point (1,1) of
     # image 1, flat offset 11, to (8,8) of image 4, 3*100 + 89 - 11 + 1
     # lanes, of which 4 * 64 are launched; the read footprint reaches one
     # cell back in each dimension, 1 + 10 lanes
-    assert (ws.lanes, ws.scratch, ws.blocks) == (layout, set(), (10, 10, 4))
+    assert ws.lanes is machine.arrays["u"].storage
+    assert (ws.lanes, ws.blocks) == (layout, (10, 10, 4))
     assert (ws.shape, ws.rows, ws.lag) == ((378,), 378, 11)
     assert len(ws.keep) == 378 - 4 * 64
     # each read starts at the emitted C's linear offset: o_1 + 10 o_2
@@ -1173,6 +1174,195 @@ def test_a_launch_over_arrays_with_different_halos_matches_roll():
                     images, rows, devices)
 
 
+CHAIN = """\
+pure concurrent subroutine seedv(V, U)
+  real, dimension(:,:), HALO(0:*:0, 1:*:1) :: V
+  real, dimension(:,:), HALO(1:*:1, 0:*:0) :: U
+  V(0,0) = 0.5*U(0,0)
+end subroutine seedv
+
+pure concurrent subroutine seedw(W, V)
+  real, dimension(:,:), HALO(2:*:2, 2:*:2) :: W
+  real, dimension(:,:), HALO(0:*:0, 1:*:1) :: V
+  W(0,0) = 1.0 - V(0,0)
+end subroutine seedw
+
+pure concurrent subroutine k1(U, V)
+  real, dimension(:,:), HALO(1:*:1, 0:*:0) :: U
+  real, dimension(:,:), HALO(0:*:0, 1:*:1) :: V
+  U(0,0) = 0.25*(U(-1,0) + U(1,0)) + 0.5*V(0,1)
+end subroutine k1
+
+pure concurrent subroutine k2(V, W)
+  real, dimension(:,:), HALO(0:*:0, 1:*:1) :: V
+  real, dimension(:,:), HALO(2:*:2, 2:*:2) :: W
+  V(0,0) = V(0,-1) - 0.5*W(2,0) + 0.25*W(0,-2)
+  W(0,0) = 0.5*W(0,2) + V(0,0)
+end subroutine k2
+
+program main
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(1:*:1,0:*:0) :: U
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(0:*:0,1:*:1) :: V
+  real, allocatable, dimension(:,:), codimension[:,:], HALO(2:*:2,2:*:2) :: W
+  integer :: device
+  integer :: it
+  real :: x
+  device = GET_SUBIMAGE(1)
+  allocate(U(0:M+1, 1:N)[MP,*])
+  allocate(V(1:M, 0:N+1)[MP,*])
+  allocate(W(-1:M+2, -1:N+2)[MP,*])
+  if (device /= this_image()) then
+    allocate(U[device], HALO_SRC=U) [[device]]
+    allocate(V[device], HALO_SRC=V) [[device]]
+    allocate(W[device], HALO_SRC=W) [[device]]
+  end if
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call seedv( V(i,j)[device], U(i,j)[device] )
+  end do
+  do concurrent (i=1:M, j=1:N) [[device]]
+    call seedw( W(i,j)[device], V(i,j)[device] )
+  end do
+  do it = 1, nsteps
+    call HALO_TRANSFER(U, BC=CYCLIC)
+    call HALO_TRANSFER(V, BC=CYCLIC)
+    call HALO_TRANSFER(W, BC=CYCLIC)
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call k1( U(i,j)[device], V(i,j)[device] )
+    end do
+    do concurrent (i=1:M, j=1:N) [[device]]
+      call k2( V(i,j)[device], W(i,j)[device] )
+    end do
+  end do
+  if (device /= this_image()) then
+    U = U[device]
+  end if
+  call HALO_TRANSFER(U, BC=CYCLIC)
+  x = U(0, 1)
+end program main
+"""
+
+
+def declared_halo_cells(arr) -> list[int]:
+    """The flat storage offsets of the declared halo cells of one block,
+    ascending: every interior position of the declared bounds but those
+    inside ``1..m``, placed by the storage layout."""
+    lay, storage = arr.layout, arr.storage
+    cells = [p for p in itertools.product(*[
+        range(1 - lo, m + hi + 1)
+        for m, lo, hi in zip(lay.interior, lay.lo, lay.hi)])
+        if not all(1 <= c <= m for c, m in zip(p, lay.interior))]
+    return sorted(int(np.ravel_multi_index(storage.at(p), storage.padded(),
+                                           order="F")) for p in cells)
+
+
+def test_a_chain_of_launches_gives_its_arrays_one_storage():
+    """``k1`` launches U with V and ``k2`` V with W, so all three share
+    W's storage, the widest per side, though U and W never launch
+    together.  Each halo exchange still fills exactly the declared halo,
+    host subscripts index the declared bounds, both launch orders leave the
+    same stacks and the field is the ``np.roll`` one."""
+    result = compile_source(CHAIN)
+    field = np.random.default_rng(34).uniform(-1, 1, (16, 16))
+    u, v = field, 0.5 * field
+    w = 1.0 - v
+    for _ in range(3):
+        u = 0.25 * (np.roll(u, 1, axis=0) + np.roll(u, -1, axis=0)) \
+            + 0.5 * np.roll(v, -1, axis=1)
+        v = np.roll(v, 1, axis=1) - 0.5 * np.roll(w, -2, axis=0) \
+            + 0.25 * np.roll(w, 2, axis=1)
+        w = 0.5 * np.roll(w, -2, axis=1) + v
+    for images in (1, 2, 4, 8):
+        for rows in (r for r in range(1, images + 1) if images % r == 0):
+            for devices in (0, 1):
+                runs = [run_machine(result, field.copy(), images=images,
+                                    grid_rows=rows, devices=devices,
+                                    steps=3, shuffle_seed=seed)
+                        for seed in (None, images)]
+                case = (images, rows, devices)
+                arrays = runs[0].arrays
+                widest = arrays["w"].layout
+                assert arrays["w"].storage is widest
+                for name in "uv":
+                    assert arrays[name].layout != widest, case
+                    assert arrays[name].storage == widest, case
+                for arr in arrays.values():
+                    dst = arr.halo_map[0]
+                    count = arr.storage.count()
+                    for k in range(images):
+                        assert (dst[k] - k * count).tolist() == \
+                            declared_halo_cells(arr), (arr.entity.name, case)
+                    assert arr.view(1).shape == arr.layout.padded()
+                for name, arr in arrays.items():
+                    other = runs[1].arrays[name]
+                    for a, b in ((arr.host, other.host),
+                                 (arr.device, other.device)):
+                        assert (a is None) == (b is None), case
+                        assert a is None or a.tobytes() == b.tobytes(), case
+                assert runs[0].gather().tobytes() == u.tobytes(), case
+                # image 1's low halo cell of U in dim 1 wraps to the last row
+                assert runs[0].env[1]["x"] == u[-1, 0], case
+
+
+def test_a_subscript_in_the_storage_padding_is_out_of_bounds():
+    """U's storage is padded to W's halo, but a host subscript or an
+    allocation check sees only U's declared bounds."""
+    outside = CHAIN.replace("x = U(0, 1)", "x = U(-1, 1)")
+    fault = fault_of(outside, np.zeros((16, 16)), images=1)
+    assert fault.code == "E108"
+    assert "subscript -1 of 'u' is outside the allocated bounds in dim 1" \
+        in fault.message
+    # blocks of one row: U's halo fits, W's does not, and W's allocation
+    # is the one that faults
+    fault = fault_of(CHAIN, np.zeros((16, 16)), images=16)
+    assert fault.code == "E201" and "'w'" in fault.message
+    assert fault.pos.line == CHAIN.splitlines().index(
+        "  allocate(W(-1:M+2, -1:N+2)[MP,*])") + 1
+
+
+def declared_box(arr, stack):
+    """Every image's declared block of ``stack``, without the padding."""
+    return stack[arr.box + (slice(None),)]
+
+
+# The declared boxes of every stack, the events and the counters of
+# ``MIXED_HALOS`` and 60 ``random_layout_program`` runs, as the simulator
+# gave them when a launch over arrays with different halos ran through a
+# zero-padded copy of each narrower array.
+PINNED_STACKS = \
+    "1212a9e61c73eceda225a79c274a1e4c7b272454dbaa7b4e9e837a403836cd11"
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_stacks_of_arrays_with_different_halos_are_pinned(shuffle):
+    field = np.random.default_rng(21).uniform(-1, 1, (32, 16))
+    runs = [(MIXED_HALOS, field, dict(images=images, grid_rows=rows,
+                                      devices=devices, steps=3))
+            for images, rows, devices in [(1, 1, 0), (2, 1, 1), (4, 2, 1),
+                                          (8, 4, 2)]]
+    rng = np.random.default_rng(1618)
+    for case in range(60):
+        text, rank = random_layout_program(rng)
+        shape = (24, 12) if rank == 2 else (24, 1)
+        images, rows = [(1, 1), (2, 1), (4, 2 if rank == 2 else 1),
+                        (3, 1)][case % 4]
+        runs.append((text, rng.uniform(-1, 1, shape), dict(
+            images=images, grid_rows=rows, devices=1, steps=2)))
+    h, widened = hashlib.sha256(), 0
+    for case, (text, field, config) in enumerate(runs):
+        machine = run_machine(compile_source(text), field.copy(),
+                              shuffle_seed=case if shuffle else None,
+                              **config)
+        for name, arr in sorted(machine.arrays.items()):
+            widened += arr.storage != arr.layout
+            for stack in (arr.host, arr.device):
+                h.update(b"-" if stack is None
+                         else declared_box(arr, stack).tobytes())
+        h.update(repr(machine.events).encode())
+        h.update(repr(machine.counters).encode())
+    assert widened >= 20
+    assert h.hexdigest() == PINNED_STACKS
+
+
 # -- launch evaluation -----------------------------------------------------
 
 
@@ -1404,6 +1594,16 @@ def test_benchmark_wrappers_still_see_the_runtime(monkeypatch):
     assert (layout.interior, layout.lo, layout.hi, layout.rank) == (
         (8, 16), (2, 1), (0, 1), 2)
     assert layout.padded() == (10, 18) and layout.count() == 180
+    # the halo bytes come from the declared layout, not the padded storage
+    mixed = run_machine(compile_source(MIXED_HALOS), np.ones((8, 8)),
+                        images=2)
+    u, v = mixed.arrays["u"], mixed.arrays["v"]
+    assert mixed.arrays[mixed.primary.name] is u
+    assert (u.layout.interior, u.layout.lo, u.layout.hi) == (
+        (4, 8), (1, 1), (1, 1))
+    assert (v.layout.interior, v.layout.lo, v.layout.hi) == (
+        (4, 8), (2, 0), (2, 0))
+    assert u.storage == v.storage == StorageLayout((4, 8), (2, 1), (2, 1))
 
 
 def test_stacked_slabs_are_capped():
@@ -1424,7 +1624,7 @@ def test_stacked_slabs_are_capped():
     assert calls == [slice(0, 4), slice(4, 8)]
     # the lanes of four 130 x 130 padded blocks, from flat offset 131
     layout = StorageLayout((128, 128), (1, 1), (1, 1))
-    key = ("laplacian", (layout,), ((1, 128), (1, 128)), 4)
+    key = ("laplacian", layout, ((1, 128), (1, 128)), 4)
     assert list(machine.workspaces) == [key]
     assert machine.workspaces[key].shape == (67338,)
     assert machine.workspaces[key].blocks == (130, 130, 4)
@@ -1436,7 +1636,7 @@ def test_stacked_slabs_are_capped():
     field = np.random.default_rng(7).uniform(-1, 1, (1024, 512))
     alone = run_machine(result, field.copy(), images=2, steps=1)
     layout = StorageLayout((512, 512), (1, 1), (1, 1))
-    key = ("laplacian", (layout,), ((1, 512), (1, 512)), 1)
+    key = ("laplacian", layout, ((1, 512), (1, 512)), 1)
     assert list(alone.workspaces) == [key]
     workspace = alone.workspaces[key]
     assert workspace.shape == (263166,) and workspace.lag == 515
