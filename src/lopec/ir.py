@@ -51,7 +51,27 @@ _BINARY = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
            "*": (operator.mul, np.multiply),
            "/": (operator.truediv, np.true_divide)}
 _UNARY = {"abs": np.abs, "sqrt": np.sqrt}
-_FOLD = {"min": np.minimum, "max": np.maximum}
+
+
+def _c_fold(ufunc):
+    """C's ``fmin`` or ``fmax`` as glibc computes it: the other operand of
+    a NaN and the first of two equal ones, so ``-0`` of ``(-0, 0)``.
+    Numpy's ``minimum`` and ``maximum`` take the second of two equal ones
+    in every loop, where ``fmin`` and ``fmax`` differ between their scalar
+    and their vector loops."""
+    def fold(x, y, out=None):
+        value = np.asarray(ufunc(y, x))
+        nan = np.isnan(value)
+        if nan.any():
+            value[nan] = np.broadcast_to(np.fmin(x, y), value.shape)[nan]
+        if out is None:
+            return value[()]
+        out[...] = value
+        return out
+    return fold
+
+
+_FOLD = {"min": _c_fold(np.minimum), "max": _c_fold(np.maximum)}
 
 
 def run_body(ir: KernelIR, read: Callable[[str, tuple[int, ...]], object],

@@ -228,10 +228,12 @@ class _Exec:
                 return np.abs(args[0])
             if fname == "sqrt":
                 return np.sqrt(args[0])
-            if fname == "fmin":
-                return np.minimum(args[0], args[1])
-            if fname == "fmax":
-                return np.maximum(args[0], args[1])
+            if fname in ("fmin", "fmax"):
+                # glibc's: the other operand of a NaN, else the first
+                # unless the second is less (fmin) or greater (fmax)
+                a, b = args
+                wins = b < a if fname == "fmin" else b > a
+                return np.where(np.isnan(a) | wins, b, a)
             raise CSyntaxError(f"unknown function {fname}")
         raise CSyntaxError(f"bad node {tag}")
 

@@ -375,3 +375,52 @@ def test_emitted_kernels_compile_as_one_c_unit(tmp_path):
     run = subprocess.run([cc, "-std=c99", "-fsyntax-only", str(unit)],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+FOLD_1D = """\
+pure concurrent subroutine k(A, B)
+  real, dimension(:), HALO(1:*:1) :: A
+  real, dimension(:), HALO(0:*:0) :: B
+  B(0) = {fn}(A(-1), A(+1))
+end subroutine k
+
+program main
+  real, allocatable, dimension(:), codimension[:], HALO(1:*:1) :: A
+  real, allocatable, dimension(:), codimension[:], HALO(0:*:0) :: B
+  integer :: device
+  device = GET_SUBIMAGE(1)
+  allocate(A(0:M+1)[*])
+  allocate(B(1:M)[*])
+  call HALO_TRANSFER(A, BC=CYCLIC)
+  do concurrent (i=1:M) [[device]]
+    call k( A(i)[device], B(i)[device] )
+  end do
+end program main
+"""
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("fn,field,want", [
+    # C's fmin and fmax return the other operand of a NaN
+    ("min", [NAN, 1, -0.0, 0, 2, NAN], [1, -0.0, 0, -0.0, 0, 2]),
+    ("max", [NAN, 1, -0.0, 0, 2, NAN], [1, -0.0, 1, 2, 0, 2]),
+    # and glibc's the first of two zeros of opposite sign
+    ("min", [0, 3, -0.0, 3, 0, 3], [3, 0, 3, -0.0, 3, 0]),
+    ("max", [0, 3, -0.0, 3, 0, 3], [3, 0, 3, -0.0, 3, 0]),
+], ids=["min-nan", "max-nan", "min-zeros", "max-zeros"])
+def test_min_and_max_compute_what_the_c_computes(fn, field, want):
+    """Bitwise, so that -0 and 0 differ, in both launch orders, and in the
+    replay of the emitted C of the same fold over one array.  The field is
+    repeated 64 times, so that numpy's vector loops run too."""
+    field, want = (np.tile(np.array(v, dtype=float), 64)[:, None]
+                   for v in (field, want))
+    result = compile_source(FOLD_1D.format(fn=fn))
+    for seed in (None, 4):
+        machine = Machine(result, RunConfig(shuffle_seed=seed), field.copy())
+        machine.run()
+        assert machine.gather("b").tobytes() == want.tobytes(), seed
+    one_array = (CORPUS / "avg3.lope").read_text().replace(
+        "(A(-1) + A(0) + A(+1)) / 3", f"{fn}(A(-1), A(+1))")
+    sim, cint = run_both(one_array, field)
+    assert sim.tobytes() == cint.tobytes() == want.tobytes()
