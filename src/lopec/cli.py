@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 compile diagnostics, 2 usage or I/O problem
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from typing import Optional
@@ -80,6 +81,24 @@ def _write(output: Optional[str], write) -> None:
         raise SystemExit(_usage_error(f"cannot write {output}: {exc.strerror}"))
 
 
+def _check_output(path: str) -> None:
+    """Refuse, as writing it would, an output that cannot be written: a
+    directory, a path in a missing or read-only folder, a read-only file.
+    The file is neither created nor truncated."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not path or not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.isfile(folder) else errno.ENOENT
+    else:
+        code = 0 if os.access(folder, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise SystemExit(_usage_error(f"cannot write {path}: "
+                                      f"{os.strerror(code)}"))
+
+
 def _write_text(text: str, output: Optional[str]) -> None:
     _write(output, lambda fh: fh.write(text))
 
@@ -133,6 +152,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _usage_error(f"cannot read {args.input}: {exc.strerror}")
         except ArrayFormatError as exc:
             return _usage_error(f"{args.input}: {exc}")
+    if args.output is not None:     # before the run, not after it
+        _check_output(args.output)
     config = RunConfig(
         images=args.images,
         grid_rows=args.grid_rows,

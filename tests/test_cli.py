@@ -265,7 +265,16 @@ def test_run_unreadable_field_is_a_usage_error(tmp_path, capsys, text, word):
 @pytest.mark.parametrize("command", [["ast"], ["emit"],
                                      ["emit", "--target", "plan"], ["run"]])
 @pytest.mark.parametrize("flag", ["-o", "--output"])
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, flag):
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            command, flag):
+    """``run`` refuses the output before it simulates anything, and leaves
+    an existing output as it was when the run faults."""
+    from lopec.runtime import Machine
+
+    def no_run(self):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Machine, "run", no_run)
     for target in (tmp_path, tmp_path / "missing" / "x"):
         assert main([command[0], str(CORPUS / "avg3.lope"), *command[1:],
                      flag, str(target)]) == 2
@@ -273,6 +282,15 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, flag):
         assert out.err.startswith(f"lopec: error: cannot write {target}: ")
         assert out.err.count("\n") == 1 and out.out == ""
     assert list(tmp_path.iterdir()) == []
+    if command == ["run"]:
+        monkeypatch.undo()
+        kept = tmp_path / "kept.txt"
+        kept.write_text("an earlier result\n")
+        # 64 cells do not divide over 3 images
+        assert main(["run", str(CORPUS / "avg3.lope"), "--images", "3",
+                     flag, str(kept)]) == 3
+        assert "error[E201]" in capsys.readouterr().err
+        assert kept.read_text() == "an earlier result\n"
 
 
 @pytest.mark.parametrize("command", COMMANDS)
