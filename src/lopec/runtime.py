@@ -802,7 +802,6 @@ class Machine:
         ws = self.workspaces.get(key)
         if ws is None:
             ws = self.workspaces[key] = _Lanes(kir, ranges, layout, count)
-        # column-major stacks, so these flat views share their memory
         flat, n = {name: stack[..., images].reshape(-1, order="F")
                    for name, stack in stacks.items()}, ws.shape[0]
 
@@ -814,8 +813,7 @@ class Machine:
 
     def _launch_pointwise(self, kir, ranges, buffers, layout,
                           scalars) -> None:
-        # 0-based launch points index views of the launch ranges in a
-        # snapshot, one per array and read offset
+        # 0-based points index views of a snapshot, one per array and offset
         snapshots = {p: buf.copy() for p, buf in buffers.items()}
         points = list(itertools.product(
             *[range(hi - lo + 1) for lo, hi in ranges]))
@@ -929,9 +927,11 @@ def _convert(kind, value, pos: SourcePos):
 def _image_runs(images: list[int], limit: int) -> Iterator[slice]:
     """Slices of the image axis covering ascending ``images``: runs of
     consecutive images, each at most ``limit`` long."""
-    for _, run in itertools.groupby(enumerate(images),
-                                    lambda pair: pair[1] - pair[0]):
-        run = [k for _, k in run]
+    runs = [images]
+    if images[-1] - images[0] != len(images) - 1:
+        runs = [[k for _, k in run] for _, run in itertools.groupby(
+            enumerate(images), lambda pair: pair[1] - pair[0])]
+    for run in runs:
         for first in range(run[0] - 1, run[-1], limit):
             yield slice(first, min(first + limit, run[-1]))
 

@@ -69,15 +69,13 @@ def ast_eval(expr, env, read, pending, stored):
             return np.abs(args[0])
         if expr.name == "sqrt":
             return np.sqrt(args[0])
-        if expr.name == "min":
+        if expr.name in ("min", "max"):
+            # C's fmin and fmax, folded left, as glibc computes them: the
+            # other operand of a NaN, else the first unless the second wins
             out = args[0]
             for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if expr.name == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
+                wins = a < out if expr.name == "min" else a > out
+                out = np.where(np.isnan(out) | wins, a, out)
             return out
     raise TypeError(type(expr).__name__)
 
