@@ -1286,11 +1286,11 @@ def test_a_chain_of_launches_gives_its_arrays_one_storage():
                     assert arrays[name].layout != widest, case
                     assert arrays[name].storage == widest, case
                 for arr in arrays.values():
-                    dst = arr.halo_map[0]
+                    dst, cells = arr.halo_map[0], declared_halo_cells(arr)
                     count = arr.storage.count()
                     for k in range(images):
-                        assert (dst[k] - k * count).tolist() == \
-                            declared_halo_cells(arr), (arr.entity.name, case)
+                        assert (dst[k] - k * count).tolist() == cells, (
+                            arr.entity.name, case)
                     assert arr.view(1).shape == arr.layout.padded()
                 for name, arr in arrays.items():
                     other = runs[1].arrays[name]
